@@ -68,6 +68,7 @@ skeleton::Skeleton SkeletonFramework::make_skeleton(
 
 skeleton::Skeleton SkeletonFramework::make_consistent_skeleton(
     const trace::Trace& folded_trace, double k) const {
+  sig::check_threshold_schedule(options_.compress, "make_consistent_skeleton");
   sig::Signature signature = make_signature(folded_trace, k);
   skeleton::Skeleton candidate = make_skeleton(signature, k);
   skeleton::ConsistencyReport report =
@@ -79,8 +80,6 @@ skeleton::Skeleton SkeletonFramework::make_consistent_skeleton(
   // folding (eliminates cross-rank loop-rotation ambiguity), again from
   // fine to coarse thresholds.
   sig::CompressOptions compress_options = options_.compress;
-  util::require(compress_options.threshold_step > 0,
-                "make_consistent_skeleton: threshold_step must be positive");
   for (const bool anchored : {false, true}) {
     compress_options.anchor_at_collectives = anchored;
     // Same integer threshold schedule as sig::compress (whose thresholds

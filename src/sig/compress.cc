@@ -1,6 +1,8 @@
 #include "sig/compress.h"
 
 #include <algorithm>
+#include <cmath>
+#include <iterator>
 #include <utility>
 
 #include "trace/fold.h"
@@ -13,9 +15,14 @@ namespace {
 
 /// Contiguous copy of each node's structural hash; the repeat scans walk
 /// this column and fall back to the exact node comparison only when every
-/// hash in the block matches.  Hashes never change during a pass, so the
-/// column stays valid while nodes are moved out of `seq` (only already
-/// consumed positions are moved from).
+/// hash in the block matches.  collapse_period finds its first period-p
+/// candidate with a running streak over the column (the number of
+/// consecutive k with fp[k] == fp[k+p]): a repeat can start at k + 1 - p
+/// only once the streak reaches p, so the exact check runs only there.
+/// fold_loops builds the column once per call and rebuilds it only after a
+/// collapse has changed `seq`; a period with no repeat leaves both alone.
+/// Hashes never change during a pass, so the column stays valid while nodes
+/// are moved out of `seq` (only already consumed positions are moved from).
 using FpColumn = std::vector<std::uint64_t>;
 
 FpColumn fingerprints_of(const SigSeq& seq) {
@@ -54,16 +61,36 @@ std::size_t primitive_period(const SigSeq& seq, const FpColumn& fp,
   return p;
 }
 
-/// One left-to-right pass collapsing tandem repeats of period `p`.  Matches
-/// are reduced to their primitive period before collapsing, and bodies are
-/// folded recursively, so a period-p hit yields the canonical nest.
-bool collapse_period(SigSeq& seq, std::size_t p, std::size_t max_period) {
+/// Start of the leftmost period-p tandem repeat in `seq`, or seq.size() when
+/// there is none.
+std::size_t first_repeat(const SigSeq& seq, const FpColumn& fp,
+                         std::size_t p) {
+  std::size_t run = 0;
+  for (std::size_t k = 0; k + p < seq.size(); ++k) {
+    run = fp[k] == fp[k + p] ? run + 1 : 0;
+    if (run >= p && block_equal(seq, fp, k + 1 - p, k + 1, p)) {
+      return k + 1 - p;
+    }
+  }
+  return seq.size();
+}
+
+/// One left-to-right pass collapsing tandem repeats of period `p`; `fp` is
+/// the hash column of `seq`.  Matches are reduced to their primitive period
+/// before collapsing, and bodies are folded recursively, so a period-p hit
+/// yields the canonical nest.  Returns false, with `seq` untouched, when
+/// period p has no repeat.
+bool collapse_period(SigSeq& seq, const FpColumn& fp, std::size_t p,
+                     std::size_t max_period) {
   if (seq.size() < 2 * p) return false;
-  const FpColumn fp = fingerprints_of(seq);
-  bool changed = false;
+  const std::size_t first = first_repeat(seq, fp, p);
+  if (first == seq.size()) return false;
   SigSeq out;
   out.reserve(seq.size());
-  std::size_t i = 0;
+  out.insert(out.end(), std::make_move_iterator(seq.begin()),
+             std::make_move_iterator(seq.begin() +
+                                     static_cast<std::ptrdiff_t>(first)));
+  std::size_t i = first;
   while (i < seq.size()) {
     if (i + 2 * p <= seq.size() && block_equal(seq, fp, i, i + p, p)) {
       const std::size_t q = primitive_period(seq, fp, i, p);
@@ -78,14 +105,13 @@ bool collapse_period(SigSeq& seq, std::size_t p, std::size_t max_period) {
       body = fold_loops(std::move(body), FoldOptions{max_period});
       out.push_back(SigNode::loop(repeats, std::move(body)));
       i += static_cast<std::size_t>(repeats) * q;
-      changed = true;
     } else {
       out.push_back(std::move(seq[i]));
       ++i;
     }
   }
   seq = std::move(out);
-  return changed;
+  return true;
 }
 
 /// Column views of every rank's event stream, built once and reused across
@@ -188,24 +214,30 @@ SigSeq fold_loops(SigSeq seq, const FoldOptions& options) {
   // repeated until no repeat of any length remains.  Largest-first matters:
   // a small-period collapse (e.g. two adjacent Allreduces) can otherwise
   // destroy the tail of a much longer repetition that contains it.
+  FpColumn fp = fingerprints_of(seq);
   bool changed = true;
   while (changed) {
     changed = false;
     for (std::size_t p = std::min(options.max_period, seq.size() / 2); p >= 1;
          --p) {
-      changed = collapse_period(seq, p, options.max_period) || changed;
+      if (collapse_period(seq, fp, p, options.max_period)) {
+        changed = true;
+        fp = fingerprints_of(seq);
+      }
       if (seq.size() < 2) break;
     }
   }
   return seq;
 }
 
-SigSeq fold_anchored(SigSeq seq, std::size_t max_period) {
-  return fold_anchored(std::move(seq), FoldOptions{max_period});
-}
-
-SigSeq fold_loops(SigSeq seq, std::size_t max_period) {
-  return fold_loops(std::move(seq), FoldOptions{max_period});
+void check_threshold_schedule(const CompressOptions& options,
+                              const std::string& caller) {
+  util::require(std::isfinite(options.max_threshold) &&
+                    options.max_threshold >= 0,
+                caller + ": max_threshold must be finite and >= 0");
+  util::require(std::isfinite(options.threshold_step) &&
+                    options.threshold_step > 0,
+                caller + ": threshold_step must be finite and positive");
 }
 
 Signature compress_at_threshold(const trace::Trace& folded_trace,
@@ -218,13 +250,6 @@ Signature compress_at_threshold(const trace::Trace& folded_trace,
                          nullptr);
 }
 
-Signature compress_at_threshold(const trace::Trace& folded_trace,
-                                double threshold,
-                                const CompressOptions& options) {
-  return compress_at_threshold(folded_trace,
-                               ThresholdCompressOptions{threshold, options});
-}
-
 Signature compress(const trace::Trace& folded_trace,
                    const CompressOptions& options) {
   util::require(trace::is_fully_folded(folded_trace),
@@ -232,8 +257,7 @@ Signature compress(const trace::Trace& folded_trace,
                 "trace::fold_nonblocking first");
   util::require(options.target_ratio >= 1.0,
                 "compress: target_ratio must be >= 1");
-  util::require(options.threshold_step > 0,
-                "compress: threshold_step must be positive");
+  check_threshold_schedule(options, "compress");
 
   const std::vector<trace::EventColumns> columns = columns_of(folded_trace);
   Signature best;

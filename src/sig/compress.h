@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstddef>
+#include <string>
 
 #include "obs/phase.h"
 #include "sig/cluster.h"
@@ -49,8 +50,15 @@ struct CompressOptions {
   obs::PhaseProfiler* profiler = nullptr;
 };
 
-/// Named options for the tandem-repeat folders (replaces the positional
-/// max_period tail).
+/// Throws ConfigError (message prefixed with `caller`) unless `options`
+/// describe a threshold schedule that starts and ends: a finite
+/// max_threshold >= 0 and a finite threshold_step > 0.  A negative cap would
+/// end the search before its first attempt, a NaN cap would never end it,
+/// and an infinite step makes the first threshold 0 * inf = NaN.
+void check_threshold_schedule(const CompressOptions& options,
+                              const std::string& caller);
+
+/// Named options for the tandem-repeat folders.
 struct FoldOptions {
   /// Longest loop body considered by the folder.
   std::size_t max_period = 512;
@@ -60,15 +68,11 @@ struct FoldOptions {
 /// independently (see CompressOptions::anchor_at_collectives).
 SigSeq fold_anchored(SigSeq seq, const FoldOptions& options = {});
 
-/// Folds maximal tandem repeats into loop nodes, smallest period first,
-/// iterating to a fixpoint (inner loops collapse first, enabling outer
-/// ones).  Exposed for unit testing.
+/// Folds maximal tandem repeats into loop nodes, largest period first
+/// (paper section 3.2: "starting with the largest matches and working
+/// down"), iterating to a fixpoint; each loop body is itself folded, so
+/// nested repeats come out as loop nests.  Exposed for unit testing.
 SigSeq fold_loops(SigSeq seq, const FoldOptions& options = {});
-
-/// Deprecated positional forms, kept as thin forwarders for one release:
-/// prefer the FoldOptions overloads above.
-SigSeq fold_anchored(SigSeq seq, std::size_t max_period);
-SigSeq fold_loops(SigSeq seq, std::size_t max_period);
 
 /// Compresses a *folded* trace (see trace::fold_nonblocking) into an
 /// execution signature.  Throws ConfigError when the trace still contains
@@ -77,8 +81,7 @@ SigSeq fold_loops(SigSeq seq, std::size_t max_period);
 Signature compress(const trace::Trace& folded_trace,
                    const CompressOptions& options = {});
 
-/// Named options for the fixed-threshold single pass (replaces the
-/// positional threshold tail).
+/// Named options for the fixed-threshold single pass.
 struct ThresholdCompressOptions {
   /// The similarity threshold applied to every rank (no search).
   double threshold = 0.0;
@@ -88,11 +91,5 @@ struct ThresholdCompressOptions {
 /// One clustering+folding pass at a fixed threshold (no search).
 Signature compress_at_threshold(const trace::Trace& folded_trace,
                                 const ThresholdCompressOptions& options);
-
-/// Deprecated positional form, kept as a thin forwarder for one release:
-/// prefer the ThresholdCompressOptions overload above.
-Signature compress_at_threshold(const trace::Trace& folded_trace,
-                                double threshold,
-                                const CompressOptions& options = {});
 
 }  // namespace psk::sig

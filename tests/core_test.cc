@@ -2,7 +2,10 @@
 // experiment driver.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <set>
+#include <string>
 
 #include "apps/nas.h"
 #include "core/experiment.h"
@@ -79,6 +82,42 @@ TEST(Framework, SeedOffsetsChangeScenarioMeasurements) {
   EXPECT_NE(a, b);
   // But each offset is reproducible.
   EXPECT_DOUBLE_EQ(framework.run_app(program, scenario, 1), a);
+}
+
+// The consistency ladder runs its own threshold schedule, so it rejects a
+// schedule that never starts or never ends before its first compression.
+void expect_schedule_rejected(const sig::CompressOptions& compress) {
+  FrameworkOptions options;
+  options.compress = compress;
+  const SkeletonFramework framework(options);
+  const trace::Trace trace = SkeletonFramework().record(
+      apps::find_benchmark("MG").make(apps::NasClass::kS), "MG");
+  try {
+    framework.make_consistent_skeleton(trace, 4.0);
+    ADD_FAILURE() << "expected ConfigError";
+  } catch (const ConfigError& error) {
+    EXPECT_NE(std::string(error.what()).find("make_consistent_skeleton"),
+              std::string::npos)
+        << error.what();
+  }
+}
+
+TEST(Framework, ConsistentSkeletonRejectsNegativeMaxThreshold) {
+  sig::CompressOptions compress;
+  compress.max_threshold = -0.01;
+  expect_schedule_rejected(compress);
+}
+
+TEST(Framework, ConsistentSkeletonRejectsNanMaxThreshold) {
+  sig::CompressOptions compress;
+  compress.max_threshold = std::nan("");
+  expect_schedule_rejected(compress);
+}
+
+TEST(Framework, ConsistentSkeletonRejectsInfiniteThresholdStep) {
+  sig::CompressOptions compress;
+  compress.threshold_step = std::numeric_limits<double>::infinity();
+  expect_schedule_rejected(compress);
 }
 
 // ------------------------------------------------------------- validation

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -384,6 +385,37 @@ TEST(Compress, RejectsNonPositiveThresholdStep) {
   EXPECT_THROW(compress(trace, negative), psk::ConfigError);
 }
 
+// Regressions: the threshold search checked only threshold_step > 0.  Each
+// case below uses an unreachable target so that the search would walk its
+// whole schedule.
+TEST(Compress, RejectsNegativeMaxThreshold) {
+  // Used to end the search before its first attempt and return an empty
+  // Signature.
+  const trace::Trace trace = traced_app("MG", apps::NasClass::kS);
+  CompressOptions options;
+  options.max_threshold = -0.01;
+  options.target_ratio = 1e9;
+  EXPECT_THROW(compress(trace, options), psk::ConfigError);
+}
+
+TEST(Compress, RejectsNanMaxThreshold) {
+  // Used to search forever: threshold > NaN is always false.
+  const trace::Trace trace = traced_app("MG", apps::NasClass::kS);
+  CompressOptions options;
+  options.max_threshold = std::nan("");
+  options.target_ratio = 1e9;
+  EXPECT_THROW(compress(trace, options), psk::ConfigError);
+}
+
+TEST(Compress, RejectsInfiniteThresholdStep) {
+  // Used to make the first threshold 0 * inf = NaN.
+  const trace::Trace trace = traced_app("MG", apps::NasClass::kS);
+  CompressOptions options;
+  options.threshold_step = std::numeric_limits<double>::infinity();
+  options.target_ratio = 1e9;
+  EXPECT_THROW(compress(trace, options), psk::ConfigError);
+}
+
 TEST(Compress, ThresholdScheduleIsExactMultipleOfStep) {
   // The schedule is driven by an integer step index, so the selected
   // threshold sits exactly on a multiple of the step -- a floating-point
@@ -395,19 +427,6 @@ TEST(Compress, ThresholdScheduleIsExactMultipleOfStep) {
   const double steps = signature.threshold / options.threshold_step;
   EXPECT_NEAR(steps, std::round(steps), 1e-9);
   EXPECT_LE(signature.threshold, options.max_threshold + 1e-12);
-}
-
-// --------------------------------------- option-struct / positional parity
-
-TEST(OptionStructs, FoldOverloadsAreEquivalent) {
-  const std::vector<int> ids = {0, 1, 2, 0, 1, 2, 0, 1, 2, 3};
-  EXPECT_EQ(fold_loops(seq_from_ids(ids), FoldOptions{2}),
-            fold_loops(seq_from_ids(ids), std::size_t{2}));
-  EXPECT_EQ(fold_anchored(seq_from_ids(ids), FoldOptions{4}),
-            fold_anchored(seq_from_ids(ids), std::size_t{4}));
-  // Default-constructed options reproduce the historical default cap.
-  EXPECT_EQ(fold_loops(seq_from_ids(ids)),
-            fold_loops(seq_from_ids(ids), FoldOptions{}));
 }
 
 // ---------------------------------------------------------------- SoA view
@@ -500,20 +519,6 @@ TEST(Soa, MismatchedColumnsAreRejected) {
   const trace::EventColumns empty;
   EXPECT_THROW(cluster_events(events, empty, ClusterOptions{}),
                ConfigError);
-}
-
-TEST(OptionStructs, CompressAtThresholdOverloadsAreEquivalent) {
-  const trace::Trace trace = traced_app("MG", apps::NasClass::kS);
-  const Signature via_struct =
-      compress_at_threshold(trace, ThresholdCompressOptions{0.05, {}});
-  const Signature via_positional = compress_at_threshold(trace, 0.05);
-  EXPECT_DOUBLE_EQ(via_struct.threshold, via_positional.threshold);
-  EXPECT_DOUBLE_EQ(via_struct.compression_ratio,
-                   via_positional.compression_ratio);
-  ASSERT_EQ(via_struct.ranks.size(), via_positional.ranks.size());
-  for (std::size_t r = 0; r < via_struct.ranks.size(); ++r) {
-    EXPECT_EQ(via_struct.ranks[r].roots, via_positional.ranks[r].roots);
-  }
 }
 
 }  // namespace

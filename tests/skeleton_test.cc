@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -15,6 +16,17 @@
 #include "trace/fold.h"
 #include "trace/recorder.h"
 #include "util/error.h"
+
+namespace psk::apps {
+
+// Prints a suite parameter as its benchmark name. Without this gtest prints
+// the pointer, so the names --gtest_list_tests reports (and the ctest names
+// discovered from them) change with the binary's load address.
+static void PrintTo(const BenchmarkDef* def, std::ostream* os) {
+  *os << def->name;
+}
+
+}  // namespace psk::apps
 
 namespace psk::skeleton {
 namespace {
