@@ -5,8 +5,8 @@
 // host-time scaling with rank count and topology -- no skeleton pipeline
 // involved.  It deliberately exercises the pieces that dominate large-world
 // runs: many concurrent point-to-point flows, log-depth collectives, and
-// per-iteration global synchronization.  Used by bench/ext_scale and the
-// scale metrics in tools/bench_record.
+// per-iteration global synchronization.  Used by bench/ext_scale and
+// perfbench's scale_1024 workload.
 #pragma once
 
 #include <cstdint>

@@ -39,14 +39,6 @@ Network::Network(Engine& engine, const NetworkConfig& config)
   }
 }
 
-Network::Network(Engine& engine, int node_count, double bandwidth_bps,
-                 Time latency, double local_bandwidth_bps, Time local_latency)
-    : Network(engine, NetworkConfig{.node_count = node_count,
-                                    .bandwidth_bps = bandwidth_bps,
-                                    .latency = latency,
-                                    .local_bandwidth_bps = local_bandwidth_bps,
-                                    .local_latency = local_latency}) {}
-
 void Network::check_node(int node) const {
   util::require(node >= 0 && node < topo_.node_count(),
                 "Network: node index " + std::to_string(node) +

@@ -70,11 +70,6 @@ class Network {
  public:
   explicit Network(Engine& engine, const NetworkConfig& config);
 
-  /// Deprecated positional constructor (pre-NetworkConfig API; always a
-  /// crossbar).  Prefer the NetworkConfig overload.
-  Network(Engine& engine, int node_count, double bandwidth_bps, Time latency,
-          double local_bandwidth_bps, Time local_latency);
-
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
 

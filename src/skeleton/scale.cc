@@ -122,14 +122,4 @@ sig::SigSeq scale_sequence(const SigSeq& seq, const ScaleSpec& spec) {
   return out;
 }
 
-sig::SigSeq scale_sequence(const sig::SigSeq& seq, double k,
-                           const ScaleOptions& options) {
-  return scale_sequence(seq, ScaleSpec{k, options});
-}
-
-sig::SigEvent scale_event(const sig::SigEvent& event, double factor,
-                          const ScaleOptions& options) {
-  return scale_event(event, ScaleSpec{factor, options});
-}
-
 }  // namespace psk::skeleton

@@ -31,7 +31,7 @@ struct ScaleOptions {
 };
 
 /// The full specification of one scaling operation: the factor K plus the
-/// behaviour knobs (replaces the positional double + options tail).
+/// behaviour knobs.
 struct ScaleSpec {
   /// Scaling factor K (>= 1).
   double factor = 1.0;
@@ -44,12 +44,5 @@ sig::SigSeq scale_sequence(const sig::SigSeq& seq, const ScaleSpec& spec);
 
 /// Parameter-scales a single event (compute and bytes divided by factor).
 sig::SigEvent scale_event(const sig::SigEvent& event, const ScaleSpec& spec);
-
-/// Deprecated positional forms, kept as thin forwarders for one release:
-/// prefer the ScaleSpec overloads above.
-sig::SigSeq scale_sequence(const sig::SigSeq& seq, double k,
-                           const ScaleOptions& options = {});
-sig::SigEvent scale_event(const sig::SigEvent& event, double factor,
-                          const ScaleOptions& options = {});
 
 }  // namespace psk::skeleton

@@ -67,12 +67,6 @@ GoodSkeletonEstimate estimate_good_skeleton(
   return estimate;
 }
 
-GoodSkeletonEstimate estimate_good_skeleton(const sig::Signature& signature,
-                                            double dominance_fraction) {
-  return estimate_good_skeleton(signature,
-                                GoodSkeletonOptions{dominance_fraction});
-}
-
 Skeleton build_skeleton(const sig::Signature& signature, double k,
                         const ScaleOptions& options) {
   util::require(k >= 1.0, "build_skeleton: K must be >= 1");

@@ -46,8 +46,7 @@ struct GoodSkeletonEstimate {
   double dominant_coverage = 0;
 };
 
-/// Named options for the shortest-"good"-skeleton analysis (replaces the
-/// positional dominance_fraction tail).
+/// Named options for the shortest-"good"-skeleton analysis.
 struct GoodSkeletonOptions {
   /// Minimum fraction of the run a loop must cover to count as dominant.
   double dominance_fraction = 0.4;
@@ -55,11 +54,6 @@ struct GoodSkeletonOptions {
 
 GoodSkeletonEstimate estimate_good_skeleton(
     const sig::Signature& signature, const GoodSkeletonOptions& options = {});
-
-/// Deprecated positional form, kept as a thin forwarder for one release:
-/// prefer the GoodSkeletonOptions overload above.
-GoodSkeletonEstimate estimate_good_skeleton(const sig::Signature& signature,
-                                            double dominance_fraction);
 
 /// Builds the skeleton for scaling factor `k` (>= 1).
 Skeleton build_skeleton(const sig::Signature& signature, double k,

@@ -1,6 +1,7 @@
 // Tests for the NAS-like benchmark suite.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <set>
 #include <string>
 #include <vector>
@@ -15,6 +16,14 @@
 #include "util/error.h"
 
 namespace psk::apps {
+
+// Prints a suite parameter as its benchmark name. Without this gtest prints
+// the pointer, so the names --gtest_list_tests reports (and the ctest names
+// discovered from them) change with the binary's load address.
+static void PrintTo(const BenchmarkDef* def, std::ostream* os) {
+  *os << def->name;
+}
+
 namespace {
 
 trace::Trace run_class(const BenchmarkDef& def, NasClass cls,

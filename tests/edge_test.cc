@@ -94,7 +94,10 @@ TEST(CpuEdge, SpeedSetterRejectsNonPositive) {
 
 TEST(NetworkEdge, BandwidthChangeMidFlowRerates) {
   sim::Engine engine;
-  sim::Network net(engine, 2, 100.0, 0.0, 1e9, 0.0);
+  sim::Network net(engine, sim::NetworkConfig{.node_count = 2,
+                                             .bandwidth_bps = 100.0,
+                                             .latency = 0.0,
+                                             .local_latency = 0.0});
   double done_at = -1;
   net.transfer(0, 1, 200, [&] { done_at = engine.now(); });
   // After 1 s (100 bytes done), halve the uplink: remaining 100 bytes at
@@ -106,7 +109,10 @@ TEST(NetworkEdge, BandwidthChangeMidFlowRerates) {
 
 TEST(NetworkEdge, AsymmetricUpDownLinks) {
   sim::Engine engine;
-  sim::Network net(engine, 2, 100.0, 0.0, 1e9, 0.0);
+  sim::Network net(engine, sim::NetworkConfig{.node_count = 2,
+                                             .bandwidth_bps = 100.0,
+                                             .latency = 0.0,
+                                             .local_latency = 0.0});
   net.set_downlink_bandwidth(1, 10.0);  // receiver is the bottleneck
   double done_at = -1;
   net.transfer(0, 1, 100, [&] { done_at = engine.now(); });
@@ -116,7 +122,10 @@ TEST(NetworkEdge, AsymmetricUpDownLinks) {
 
 TEST(NetworkEdge, ManyTinyFlowsDrainCompletely) {
   sim::Engine engine;
-  sim::Network net(engine, 4, 1000.0, 1e-4, 1e9, 0.0);
+  sim::Network net(engine, sim::NetworkConfig{.node_count = 4,
+                                             .bandwidth_bps = 1000.0,
+                                             .latency = 1e-4,
+                                             .local_latency = 0.0});
   int done = 0;
   for (int i = 0; i < 400; ++i) {
     net.transfer(i % 4, (i + 1 + i / 4) % 4, 1 + i % 97, [&done] { ++done; });
@@ -128,7 +137,10 @@ TEST(NetworkEdge, ManyTinyFlowsDrainCompletely) {
 
 TEST(NetworkEdge, BackgroundFlowOnlyAffectsItsLinks) {
   sim::Engine engine;
-  sim::Network net(engine, 4, 100.0, 0.0, 1e9, 0.0);
+  sim::Network net(engine, sim::NetworkConfig{.node_count = 4,
+                                             .bandwidth_bps = 100.0,
+                                             .latency = 0.0,
+                                             .local_latency = 0.0});
   net.add_background_flow(0, 1);
   double other = -1;
   net.transfer(2, 3, 100, [&] { other = engine.now(); });

@@ -151,7 +151,10 @@ TEST(ObsCpu, BusySecondsAndStallSpans) {
 
 TEST(ObsNetwork, TxBytesAndLinkFaultSpans) {
   sim::Engine engine;
-  sim::Network network(engine, 4, 1e8, 50e-6, 1e9, 0);
+  sim::Network network(engine, sim::NetworkConfig{.node_count = 4,
+                                                 .bandwidth_bps = 1e8,
+                                                 .latency = 50e-6,
+                                                 .local_latency = 0});
   obs::Recorder recorder;
   network.attach_obs(&recorder);
 

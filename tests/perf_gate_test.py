@@ -1,0 +1,103 @@
+#!/usr/bin/env python3
+"""Checks tools/perf_gate.py's verdicts on canned perfbench results."""
+import importlib.util
+import json
+import os
+import sys
+import unittest
+
+sys.dont_write_bytecode = True
+_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                     "tools", "perf_gate.py")
+_SPEC = importlib.util.spec_from_file_location("perf_gate", _PATH)
+perf_gate = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(perf_gate)
+
+END_TO_END = [
+    {"name": "wall_s", "better": "lower", "bound": 0.25},
+    {"name": "ops_per_s", "better": "higher", "bound": 0.25},
+]
+COUNTERS = {"sim.events": 771402, "alloc.per_event": 14.87859508,
+            "alloc.exact_repeat": 1}
+
+
+def result(metrics, correct=True, failed=0):
+    line = json.dumps({"correct": correct, "attempted": 10, "failed": failed,
+                       "metrics": {name: {"value": value, "unit": "-"}
+                                   for name, value in metrics.items()}})
+    return perf_gate.parse_run(0, "machine {}\n" + line + "\n")
+
+
+def side(walls, counters=COUNTERS):
+    """scale_1024 runs with the given wall_s per seed and one traced run."""
+    return {"scale_1024": {
+        "runs": [result({"wall_s": w, "ops_per_s": 100.0 / w}) for w in walls],
+        "traced": result(counters),
+    }}
+
+
+def verdicts(base, change):
+    rows = perf_gate.compare(END_TO_END, base, change)
+    return {row[1]: row[5] for row in rows}
+
+
+def passes(base, change):
+    return perf_gate.passed(perf_gate.compare(END_TO_END, base, change))
+
+
+TIGHT = [2.0, 2.02, 1.98, 2.01, 1.99]
+WIDE = [2.0, 1.4, 2.6, 1.5, 2.5]  # spread 0.5, wider than the 0.25 bound
+
+
+class PerfGateTest(unittest.TestCase):
+    def test_identical_sides_pass(self):
+        got = verdicts(side(TIGHT), side(TIGHT))
+        self.assertEqual(got, {"wall_s": "ok", "ops_per_s": "ok",
+                               "sim.events": "equal",
+                               "alloc.per_event": "equal",
+                               "alloc.exact_repeat": "equal"})
+        self.assertTrue(passes(side(TIGHT), side(TIGHT)))
+
+    def test_slower_wall_with_tight_base_fails(self):
+        slower = [w * 1.3 for w in TIGHT]
+        self.assertEqual(verdicts(side(TIGHT), side(slower))["wall_s"],
+                         "WORSE")
+        self.assertFalse(passes(side(TIGHT), side(slower)))
+
+    def test_slower_wall_with_wide_base_is_unresolved(self):
+        slower = [w * 1.3 for w in WIDE]
+        self.assertEqual(verdicts(side(WIDE), side(slower))["wall_s"],
+                         "unresolved")
+        self.assertTrue(passes(side(WIDE), side(slower)))
+
+    def test_one_more_event_fails(self):
+        more = dict(COUNTERS, **{"sim.events": COUNTERS["sim.events"] + 1})
+        got = verdicts(side(TIGHT), side(TIGHT, more))
+        self.assertEqual(got["sim.events"], "WORSE")
+        self.assertFalse(passes(side(TIGHT), side(TIGHT, more)))
+
+    def test_incorrect_change_run_fails(self):
+        change = side(TIGHT)
+        change["scale_1024"]["runs"][2] = result({"wall_s": 2.0},
+                                                 correct=False)
+        self.assertEqual(verdicts(side(TIGHT), change),
+                         {"change seed 3": "FAILED"})
+        self.assertFalse(passes(side(TIGHT), change))
+
+    def test_allocation_count_that_did_not_repeat_fails(self):
+        unrepeated = dict(COUNTERS, **{"alloc.exact_repeat": 0})
+        got = verdicts(side(TIGHT), side(TIGHT, unrepeated))
+        self.assertEqual(got["alloc.exact_repeat"], "WORSE")
+        self.assertFalse(passes(side(TIGHT), side(TIGHT, unrepeated)))
+
+    def test_run_without_result_line_fails(self):
+        run = perf_gate.parse_run(2, "perfbench: build failed\n")
+        self.assertEqual(perf_gate.run_problem(run), "exit 2")
+        run = perf_gate.parse_run(0, "samples 1 2 3\n")
+        self.assertEqual(perf_gate.run_problem(run), "no result line")
+        self.assertEqual(perf_gate.run_problem(result({}, failed=3)),
+                         "3 failed")
+
+
+if __name__ == "__main__":
+    unittest.main()

@@ -303,7 +303,10 @@ TEST(Cpu, RejectsBadConfig) {
 struct NetFixture {
   Engine engine;
   // 100 bytes/s links, 0.5 s latency, fast local channel.
-  Network net{engine, 4, 100.0, 0.5, 1e9, 0.0};
+  Network net{engine, NetworkConfig{.node_count = 4,
+                                    .bandwidth_bps = 100.0,
+                                    .latency = 0.5,
+                                    .local_latency = 0.0}};
 };
 
 TEST(Network, SingleTransferLatencyPlusBandwidth) {
@@ -421,7 +424,11 @@ TEST(Network, NearEqualSmallFlowsCompleteAtDistinctTimes) {
   // on a slow link a distinct control message within a sliver of the
   // minimum-remaining flow was finished early, at the wrong timestamp.
   Engine engine;
-  Network net{engine, 4, 1.0, 0.0, 1e9, 0.0};  // 1 B/s links, no latency
+  // 1 B/s links, no latency.
+  Network net{engine, NetworkConfig{.node_count = 4,
+                                    .bandwidth_bps = 1.0,
+                                    .latency = 0.0,
+                                    .local_latency = 0.0}};
   double a = -1, b = -1;
   net.transfer(0, 1, 2, [&] { a = engine.now(); });
   // Disjoint node pair, same size, started 100 ns later: when the first

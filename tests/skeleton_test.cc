@@ -362,35 +362,5 @@ TEST(Predict, EndToEndCpuSharingScenario) {
   EXPECT_LT(prediction_error_percent(predicted, app_shared), 12.0);
 }
 
-// --------------------------------------- option-struct / positional parity
-
-TEST(OptionStructs, ScaleOverloadsAreEquivalent) {
-  SigSeq seq;
-  SigSeq body;
-  body.push_back(SigNode::leaf(leaf_event(0, 0.5)));
-  seq.push_back(SigNode::loop(30, std::move(body)));
-  seq.push_back(SigNode::leaf(leaf_event(1, 2.0)));
-  ScaleOptions options;
-  options.scale_message_bytes = false;
-  EXPECT_EQ(scale_sequence(seq, ScaleSpec{7.0, options}),
-            scale_sequence(seq, 7.0, options));
-  EXPECT_EQ(scale_sequence(seq, ScaleSpec{7.0, {}}),
-            scale_sequence(seq, 7.0));
-  const SigEvent event = leaf_event(2, 1.5);
-  EXPECT_EQ(SigNode::leaf(scale_event(event, ScaleSpec{3.0, {}})),
-            SigNode::leaf(scale_event(event, 3.0)));
-}
-
-TEST(OptionStructs, GoodSkeletonOverloadsAreEquivalent) {
-  const sig::Signature signature = signature_of("IS", apps::NasClass::kS, 5);
-  const GoodSkeletonEstimate via_struct =
-      estimate_good_skeleton(signature, GoodSkeletonOptions{0.3});
-  const GoodSkeletonEstimate via_positional =
-      estimate_good_skeleton(signature, 0.3);
-  EXPECT_DOUBLE_EQ(via_struct.min_good_time, via_positional.min_good_time);
-  EXPECT_DOUBLE_EQ(via_struct.dominant_coverage,
-                   via_positional.dominant_coverage);
-}
-
 }  // namespace
 }  // namespace psk::skeleton

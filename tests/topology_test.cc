@@ -305,30 +305,6 @@ TEST(IncrementalCore, MatchesDenseReferenceOnCrossbar) {
 
 // ---------------------------------------------------------- config surface
 
-TEST(NetworkConfigApi, PositionalCtorMatchesNamedOptions) {
-  double legacy_done = -1.0;
-  double config_done = -1.0;
-  {
-    sim::Engine engine;
-    Network net{engine, 4, 100.0, 0.5, 1e9, 0.0};
-    net.transfer(0, 1, 200, [&] { legacy_done = engine.now(); });
-    net.transfer(0, 2, 80, [] {});
-    engine.run();
-  }
-  {
-    sim::Engine engine;
-    Network net(engine, NetworkConfig{.node_count = 4,
-                                      .bandwidth_bps = 100.0,
-                                      .latency = 0.5,
-                                      .local_bandwidth_bps = 1e9,
-                                      .local_latency = 0.0});
-    net.transfer(0, 1, 200, [&] { config_done = engine.now(); });
-    net.transfer(0, 2, 80, [] {});
-    engine.run();
-  }
-  EXPECT_EQ(legacy_done, config_done);  // bitwise: same core, same ops
-}
-
 TEST(NetworkConfigApi, NodeConveniencesMapToAccessLinks) {
   sim::Engine engine;
   Network net(engine, small_fattree(NetworkConfig::Sharing::kAuto));
