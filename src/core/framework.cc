@@ -111,12 +111,6 @@ skeleton::Skeleton SkeletonFramework::make_consistent_skeleton(
                     folded_trace.app_name + " (" + report.detail + ")");
 }
 
-skeleton::Skeleton SkeletonFramework::make_skeleton_for_time(
-    const sig::Signature& signature, double target_seconds) const {
-  return skeleton::build_skeleton_for_time(signature, target_seconds,
-                                           options_.scale);
-}
-
 skeleton::Skeleton SkeletonFramework::construct(const mpi::RankMain& app,
                                                 const std::string& name,
                                                 double target_seconds) const {

@@ -93,8 +93,6 @@ class SkeletonFramework {
   /// validates.  Throws ConfigError if no threshold up to the cap works.
   skeleton::Skeleton make_consistent_skeleton(const trace::Trace& folded_trace,
                                               double k) const;
-  skeleton::Skeleton make_skeleton_for_time(const sig::Signature& signature,
-                                            double target_seconds) const;
 
   /// Full pipeline: trace, compress (Q = K/2), scale.
   skeleton::Skeleton construct(const mpi::RankMain& app,

@@ -46,7 +46,7 @@ void check_spec(const sim::Machine& machine, int node, sim::Time first_at,
 // queue busy forever, but by itself never completes an MPI request, so it
 // must not count as pending progress (that would mask deadlock detection).
 // Up-transitions are safe as daemons because in-flight work they resume is
-// visible elsewhere -- paused flows via Network::transfers_pending(),
+// visible elsewhere -- paused flows via Network::active_flows(),
 // stalled compute via tasks that are unfinished yet not MPI-blocked.
 
 void arm_crash(sim::Machine& machine, const StatePtr& state, CrashSpec spec,

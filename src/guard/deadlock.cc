@@ -107,7 +107,7 @@ std::size_t DeadlockMonitor::blocked_tasks() const {
 }
 
 bool DeadlockMonitor::quiescent() const {
-  return world_.machine().network().transfers_pending() == 0;
+  return world_.machine().network().active_flows() == 0;
 }
 
 void DeadlockMonitor::report_deadlock() {

@@ -345,8 +345,8 @@ std::string render_units(std::uint64_t kept, std::uint64_t expected,
 }
 
 // ------------------------------------------- lenient paths, shared by the
-// file salvors (after the strict loader has refused) and the in-memory
-// entry points (which have no strict fast-path).
+// skeleton file salvor (after the strict loader has refused) and the
+// in-memory entry points (which have no strict fast-path).
 
 std::optional<trace::Trace> salvage_trace_damaged(const std::string& bytes,
                                                   SalvageReport& report) {
@@ -484,45 +484,11 @@ std::string SalvageReport::render() const {
   return out.str();
 }
 
-std::optional<trace::Trace> salvage_trace_file(const std::string& path,
-                                               SalvageReport& report) {
-  report = SalvageReport{};
-  report.path = path;
-  const std::string bytes = read_file(path);
-  if (const archive::Result<trace::Trace> strict = archive::load_trace(path);
-      strict.ok()) {
-    const trace::Trace& trace = strict.value();
-    report.clean = report.recovered = true;
-    report.ranks_expected = report.ranks_kept = trace.ranks.size();
-    report.events_expected = report.events_kept = trace.event_count();
-    return trace;
-  } else {
-    report.detail = strict.error().message;
-  }
-  return salvage_trace_damaged(bytes, report);
-}
-
 std::optional<trace::Trace> salvage_trace_bytes(const std::string& bytes,
                                                 SalvageReport& report) {
   report = SalvageReport{};
   report.path = "<memory>";
   return salvage_trace_damaged(bytes, report);
-}
-
-std::optional<sig::Signature> salvage_signature_file(const std::string& path,
-                                                     SalvageReport& report) {
-  report = SalvageReport{};
-  report.path = path;
-  const std::string bytes = read_file(path);
-  if (const archive::Result<sig::Signature> strict = archive::load_signature(path);
-      strict.ok()) {
-    report.clean = report.recovered = true;
-    report.ranks_expected = report.ranks_kept = strict.value().ranks.size();
-    return strict.value();
-  } else {
-    report.detail = strict.error().message;
-  }
-  return salvage_signature_damaged(bytes, report);
 }
 
 std::optional<sig::Signature> salvage_signature_bytes(const std::string& bytes,

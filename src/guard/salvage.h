@@ -1,12 +1,16 @@
-// Recovery of truncated or torn trace / signature / skeleton files.
+// Recovery of truncated or torn trace / signature / skeleton data.
 //
-// A crashed tracer, a full disk, or a partial copy leaves a file whose
-// prefix is perfectly good data.  The strict loaders reject it outright;
+// A crashed writer, a full disk, or a partial copy leaves bytes whose
+// prefix is perfectly good data.  The strict loaders reject them outright;
 // salvage_* instead recovers everything up to the last verifiable unit --
 // whole events for text traces, whole events/ranks for archive payloads --
 // and reports exactly what was kept and where the damage starts (line
 // number for text, byte offset for binary), so `--validate=salvage` can
 // proceed on the recovered prefix while telling the user what was lost.
+//
+// File salvage exists for skeletons only (`psk run --validate=salvage`);
+// traces, signatures and uploaded skeletons are salvaged from in-memory
+// bytes.
 #pragma once
 
 #include <optional>
@@ -44,22 +48,18 @@ struct SalvageReport {
   std::string render() const;
 };
 
-/// Each salvor first tries the strict loader; on success the report is
-/// `clean`.  On a format error it recovers the longest verifiable prefix.
-/// Returns nullopt (with report.recovered == false) when nothing usable
-/// survives -- e.g. the header itself is gone.  I/O errors (missing file)
-/// still throw, as there is nothing to salvage.
-std::optional<trace::Trace> salvage_trace_file(const std::string& path,
-                                               SalvageReport& report);
-std::optional<sig::Signature> salvage_signature_file(const std::string& path,
-                                                     SalvageReport& report);
+/// First tries the strict loader; on success the report is `clean`.  On a
+/// format error it recovers the longest verifiable prefix.  Returns nullopt
+/// (with report.recovered == false) when nothing usable survives -- e.g. the
+/// header itself is gone.  I/O errors (missing file) still throw, as there
+/// is nothing to salvage.
 std::optional<skeleton::Skeleton> salvage_skeleton_file(
     const std::string& path, SalvageReport& report);
 
 /// Salvage directly from an in-memory buffer.  These skip the strict
 /// fast-path (so an intact buffer is reported `recovered`, never `clean`)
 /// and never touch the filesystem; the fuzz harnesses use them to drive
-/// the lenient decoders with arbitrary bytes.
+/// the lenient decoders with arbitrary bytes.  Nullopt as above.
 std::optional<trace::Trace> salvage_trace_bytes(const std::string& bytes,
                                                 SalvageReport& report);
 std::optional<sig::Signature> salvage_signature_bytes(const std::string& bytes,

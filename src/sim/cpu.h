@@ -69,7 +69,6 @@ class CpuNode {
   /// source of skeleton-vs-application measurement divergence under CPU
   /// sharing.  Has no effect while the node is not contended.
   void set_contention_unfairness(double factor);
-  double contention_unfairness() const { return unfairness_; }
 
   int cores() const { return cores_; }
   double speed() const { return speed_; }
@@ -77,7 +76,6 @@ class CpuNode {
   /// Changes the node's core speed (heterogeneous clusters, DVFS).  Takes
   /// effect immediately for running jobs.
   void set_speed(double speed);
-  std::size_t running_jobs() const { return jobs_.size(); }
   int load_processes() const { return load_; }
 
   /// Current per-job CPU progress rate in work-seconds per second (before
@@ -86,7 +84,6 @@ class CpuNode {
 
   /// Memory-bus capacity in bytes/second (default: effectively unlimited).
   void set_memory_bandwidth(double bytes_per_second);
-  double memory_bandwidth() const { return mem_bandwidth_; }
 
   /// Current throttle factor applied to memory-dependent jobs (1 = no bus
   /// contention).

@@ -102,11 +102,6 @@ class Engine {
   void add_quiescence_monitor(QuiescenceMonitor* monitor);
   void remove_quiescence_monitor(QuiescenceMonitor* monitor);
 
-  /// Live non-daemon events still scheduled (see EventQueue::progress_size).
-  std::size_t pending_progress_events() const {
-    return queue_.progress_size();
-  }
-
   /// Awaitable that suspends the calling coroutine for `delay` seconds.
   auto sleep(Time delay) {
     struct Awaiter {

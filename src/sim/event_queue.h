@@ -93,9 +93,6 @@ class EventQueue {
   /// quiescent -- nothing pending can ever resume them.
   std::size_t progress_size() const { return progress_live_; }
 
-  /// Live daemon (background) events.
-  std::size_t daemon_size() const { return daemon_live_; }
-
   /// Pops the earliest live event.  Returns false when the queue is empty;
   /// otherwise stores the event time in `t` and moves the callback out of
   /// its slab slot into `callback` (no copy, no refcount traffic).
@@ -106,7 +103,6 @@ class EventQueue {
   /// compactor ran.  Bounded-memory guarantee: queued_keys() never exceeds
   /// 2 * live + O(1) once compaction has a chance to run.
   std::size_t queued_keys() const { return queued_keys_; }
-  std::size_t dead_keys() const { return dead_keys_; }
   std::size_t compactions() const { return compactions_; }
 
  private:

@@ -9,10 +9,6 @@
 
 namespace psk::sim {
 
-namespace {
-constexpr double kInfiniteBytes = std::numeric_limits<double>::infinity();
-}
-
 Network::Network(Engine& engine, const NetworkConfig& config)
     : engine_(engine),
       topo_(config.topology, config.node_count),
@@ -166,8 +162,7 @@ void Network::set_link_bandwidth(int node, double bandwidth_bps) {
   const LinkId up = topo_.uplink(node);
   const LinkId down = topo_.downlink(node);
   if (!incremental_) {
-    // One settle/re-rate pass for both directions (the old per-direction
-    // calls each ran sync()+rerate()).
+    // One settle/re-rate pass for both directions.
     sync();
     cap_[static_cast<std::size_t>(up)] = bandwidth_bps;
     cap_[static_cast<std::size_t>(down)] = bandwidth_bps;
@@ -178,26 +173,6 @@ void Network::set_link_bandwidth(int node, double bandwidth_bps) {
   cap_[static_cast<std::size_t>(down)] = bandwidth_bps;
   const LinkId links[2] = {up, down};
   inc_links_changed(links, links + 2);
-}
-
-void Network::set_uplink_bandwidth(int node, double bandwidth_bps) {
-  check_node(node);
-  set_link_capacity(topo_.uplink(node), bandwidth_bps);
-}
-
-void Network::set_downlink_bandwidth(int node, double bandwidth_bps) {
-  check_node(node);
-  set_link_capacity(topo_.downlink(node), bandwidth_bps);
-}
-
-double Network::uplink_bandwidth(int node) const {
-  check_node(node);
-  return cap_[static_cast<std::size_t>(topo_.uplink(node))];
-}
-
-double Network::downlink_bandwidth(int node) const {
-  check_node(node);
-  return cap_[static_cast<std::size_t>(topo_.downlink(node))];
 }
 
 void Network::node_fault_span_begin(int node) {
@@ -306,70 +281,6 @@ void Network::transfer(int src, int dst, std::uint64_t bytes,
   });
 }
 
-void Network::add_background_flow(int src, int dst) {
-  check_node(src);
-  check_node(dst);
-  if (!incremental_) {
-    sync();
-    Flow flow;
-    flow.src = src;
-    flow.dst = dst;
-    flow.path = topo_.path(src, dst);
-    flow.remaining = kInfiniteBytes;
-    flow.background = true;
-    flows_.push_back(std::move(flow));
-    observe_flows();
-    rerate();
-    return;
-  }
-  IncFlow flow;
-  flow.src = src;
-  flow.dst = dst;
-  flow.path = topo_.path(src, dst);
-  flow.remaining = kInfiniteBytes;
-  flow.background = true;
-  inc_admit(std::move(flow));
-}
-
-void Network::clear_background_flows() {
-  if (!incremental_) {
-    sync();
-    flows_.remove_if([](const Flow& f) { return f.background; });
-    observe_flows();
-    rerate();
-    return;
-  }
-  ++epoch_;
-  std::vector<LinkId>& touched = scratch_touched_;
-  touched.clear();
-  for (int id = 0; id < static_cast<int>(pool_.size()); ++id) {
-    IncFlow& flow = pool_[static_cast<std::size_t>(id)];
-    if (!flow.alive || !flow.background) continue;
-    flow.mark = epoch_;  // never a member of the affected set below
-    for (LinkId l : flow.path) touched.push_back(l);
-    inc_remove(id);
-  }
-  scratch_ripple_.clear();
-  for (LinkId t : touched) inc_collect(t, scratch_ripple_);
-  for (int id : scratch_ripple_) {
-    IncFlow& flow = pool_[static_cast<std::size_t>(id)];
-    if (flow.faulted_links > 0) continue;
-    inc_settle(flow);
-    inc_rerate_flow(id);
-  }
-  inc_reschedule();
-  observe_flows();
-}
-
-std::size_t Network::transfers_pending() const {
-  if (incremental_) return inc_real_pending_;
-  std::size_t n = 0;
-  for (const Flow& flow : flows_) {
-    if (!flow.background) ++n;
-  }
-  return n;
-}
-
 // --- Dense core --------------------------------------------------------------
 // The seed's arithmetic, generalized from the two crossbar endpoint links to
 // an arbitrary link path.  On the crossbar the per-link counters and the
@@ -391,10 +302,9 @@ void Network::sync() {
   if (elapsed <= 0) return;
   for (Flow& flow : flows_) {
     // Rates are constant between syncs, so rate * elapsed is the exact byte
-    // count each flow moved in the interval (background flows included --
-    // they occupy real link share).
+    // count each flow moved in the interval.
     const double moved = flow.rate * elapsed;
-    if (!flow.background) flow.remaining -= moved;
+    flow.remaining -= moved;
     if (obs_ != nullptr) {
       obs_tx_bytes_[static_cast<std::size_t>(flow.src)]->add(moved);
     }
@@ -429,10 +339,8 @@ void Network::rerate() {
                                 use[static_cast<std::size_t>(link)]);
     }
     flow.rate = rate;
-    if (!flow.background) {
-      const Time eta = std::max(0.0, flow.remaining) / flow.rate;
-      min_eta = std::min(min_eta, eta);
-    }
+    const Time eta = std::max(0.0, flow.remaining) / flow.rate;
+    min_eta = std::min(min_eta, eta);
   }
   if (min_eta == std::numeric_limits<Time>::infinity()) return;
   pending_ = engine_.after(min_eta, [this] { on_completion_event(); });
@@ -449,7 +357,7 @@ void Network::on_completion_event() {
     // Paused (rate-zero) flows never complete here, and must not drag
     // min_remaining down: a nearly-finished flow stuck behind a link fault
     // would otherwise "complete" an unrelated active flow early.
-    if (!flow.background && flow.rate > 0) {
+    if (flow.rate > 0) {
       min_remaining = std::min(min_remaining, flow.remaining);
     }
   }
@@ -466,7 +374,7 @@ void Network::on_completion_event() {
   std::vector<std::function<void()>> finished;
   auto it = flows_.begin();
   while (it != flows_.end()) {
-    if (!it->background && it->rate > 0 &&
+    if (it->rate > 0 &&
         it->remaining <= min_remaining + it->rate * clock_ulp) {
       finished.push_back(std::move(it->on_complete));
       it = flows_.erase(it);
@@ -493,7 +401,7 @@ void Network::inc_settle(IncFlow& flow) {
   flow.settled_at = now;
   if (elapsed <= 0) return;
   const double moved = flow.rate * elapsed;
-  if (!flow.background) flow.remaining -= moved;
+  flow.remaining -= moved;
   if (obs_ != nullptr) {
     obs_tx_bytes_[static_cast<std::size_t>(flow.src)]->add(moved);
   }
@@ -515,7 +423,7 @@ void Network::inc_rerate_flow(int id) {
     eta_.erase({flow.eta, id});
     flow.in_eta = false;
   }
-  if (!flow.background && rate > 0.0) {
+  if (rate > 0.0) {
     flow.eta = engine_.now() + std::max(0.0, flow.remaining) / rate;
     eta_.insert({flow.eta, id});
     flow.in_eta = true;
@@ -549,7 +457,6 @@ void Network::inc_admit(IncFlow flow) {
   IncFlow& f = pool_[static_cast<std::size_t>(id)];
   f.alive = true;
   ++inc_alive_;
-  if (!f.background) ++inc_real_pending_;
 
   ++epoch_;
   f.mark = epoch_;  // keep the new flow out of its own affected set
@@ -605,7 +512,6 @@ void Network::inc_remove(int id) {
   flow.alive = false;
   flow.on_complete = nullptr;
   --inc_alive_;
-  if (!flow.background) --inc_real_pending_;
   free_slots_.push_back(id);
 }
 

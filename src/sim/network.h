@@ -24,8 +24,8 @@
 // (byte-identity) and incremental on hierarchical topologies (scale).
 //
 // Each transfer pays a fixed propagation/software-stack latency before its
-// bytes join the fluid system.  Persistent background flows model competing
-// traffic.  Same-node transfers bypass the network and use a fast local
+// bytes join the fluid system.  Competing traffic is other transfers sharing
+// a link.  Same-node transfers bypass the network and use a fast local
 // memory channel.
 #pragma once
 
@@ -80,7 +80,8 @@ class Network {
 
   // --- Link-addressed API ------------------------------------------------
   // Links are the unit of capacity and fault state; node-addressed calls
-  // below are conveniences over the node's two access links.
+  // below are conveniences over the node's two access links
+  // (topology().uplink(node) / downlink(node)).
 
   double link_capacity(LinkId link) const;
   void set_link_capacity(LinkId link, double bandwidth_bps);
@@ -101,12 +102,6 @@ class Network {
   /// shaper used by the sharing scenarios) in a single settle/re-rate pass.
   void set_link_bandwidth(int node, double bandwidth_bps);
 
-  void set_uplink_bandwidth(int node, double bandwidth_bps);
-  void set_downlink_bandwidth(int node, double bandwidth_bps);
-
-  double uplink_bandwidth(int node) const;
-  double downlink_bandwidth(int node) const;
-
   /// Faults both directions of the node's access link (black-out, flap, or
   /// crashed node).  Intra-node (shared-memory) copies are unaffected.
   void push_link_fault(int node);
@@ -120,19 +115,12 @@ class Network {
   void transfer(int src, int dst, std::uint64_t bytes,
                 std::function<void()> on_complete);
 
-  /// Adds a persistent competing bulk flow occupying share on every link of
-  /// the src -> dst path.
-  void add_background_flow(int src, int dst);
-  void clear_background_flows();
-
+  /// Transfers past their latency and still carrying bytes.  Used by
+  /// deadlock detection: a paused flow on a faulted link counts -- it
+  /// resumes when the fault clears, so the simulation is not quiescent.
   std::size_t active_flows() const {
     return incremental_ ? inc_alive_ : flows_.size();
   }
-
-  /// Real transfers still carrying bytes (background flows excluded).  Used
-  /// by deadlock detection: a paused flow on a faulted link counts -- it
-  /// resumes when the fault clears, so the simulation is not quiescent.
-  std::size_t transfers_pending() const;
 
   /// Starts feeding the recorder: per-node transmitted-bytes counters, a
   /// time-weighted active-flow gauge plus occupancy histogram, and
@@ -147,10 +135,9 @@ class Network {
     int src;
     int dst;
     LinkPath path;
-    double remaining;  // bytes; background flows use +infinity
+    double remaining;  // bytes
     double rate = 0.0;
     std::function<void()> on_complete;
-    bool background = false;
   };
 
   /// Accounts bytes moved since the last rate change (every flow).
@@ -168,7 +155,7 @@ class Network {
     int src = 0;
     int dst = 0;
     LinkPath path;
-    double remaining = 0.0;  // bytes; background flows use +infinity
+    double remaining = 0.0;  // bytes
     double rate = 0.0;
     Time settled_at = 0.0;
     Time eta = 0.0;  // key of the entry in eta_, valid iff in_eta
@@ -177,7 +164,6 @@ class Network {
     std::array<std::int32_t, LinkPath::kMaxLinks> slot{};
     std::uint64_t mark = 0;  // epoch visited marker (affected-set dedup)
     int faulted_links = 0;   // path links with a positive fault depth
-    bool background = false;
     bool alive = false;
     bool in_eta = false;
   };
@@ -235,7 +221,6 @@ class Network {
   std::set<std::pair<Time, int>> eta_;  // (completion time, flow id)
   std::uint64_t epoch_ = 0;
   std::size_t inc_alive_ = 0;
-  std::size_t inc_real_pending_ = 0;
   // Batch scratch buffers (reused to keep per-event allocation flat).  Only
   // used before an update batch hands control back to user callbacks.
   std::vector<int> scratch_affected_;

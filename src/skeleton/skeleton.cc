@@ -1,6 +1,5 @@
 #include "skeleton/skeleton.h"
 
-#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <limits>
@@ -92,15 +91,6 @@ Skeleton build_skeleton(const sig::Signature& signature, double k,
   return skeleton;
 }
 
-Skeleton build_skeleton_for_time(const sig::Signature& signature,
-                                 double target_seconds,
-                                 const ScaleOptions& options) {
-  util::require(target_seconds > 0,
-                "build_skeleton_for_time: target must be positive");
-  const double k = std::max(1.0, signature.elapsed() / target_seconds);
-  return build_skeleton(signature, k, options);
-}
-
 namespace {
 
 std::uint64_t round_bytes(double bytes) {
@@ -122,14 +112,10 @@ struct ReplayContext {
   }
 };
 
-std::uint64_t round_mem(double bytes) {
-  return bytes <= 0 ? 0 : static_cast<std::uint64_t>(std::llround(bytes));
-}
-
 sim::Task replay_event(mpi::Comm& comm, const SigEvent& event,
                        ReplayContext& context) {
   const double pre = context.compute_duration(event);
-  if (pre > 0) co_await comm.compute(pre, round_mem(event.pre_mem_bytes));
+  if (pre > 0) co_await comm.compute(pre, round_bytes(event.pre_mem_bytes));
   switch (event.type) {
     case mpi::CallType::kSend:
       co_await comm.send(event.peer, round_bytes(event.bytes), event.tag);
@@ -157,7 +143,7 @@ sim::Task replay_event(mpi::Comm& comm, const SigEvent& event,
       }
       if (event.interior_compute > 0) {
         co_await comm.compute(event.interior_compute,
-                              round_mem(event.interior_mem_bytes));
+                              round_bytes(event.interior_mem_bytes));
       }
       for (const SigEvent::Part& part : event.parts) {
         if (part.outgoing) {

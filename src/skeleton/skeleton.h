@@ -59,12 +59,6 @@ GoodSkeletonEstimate estimate_good_skeleton(
 Skeleton build_skeleton(const sig::Signature& signature, double k,
                         const ScaleOptions& options = {});
 
-/// Builds the skeleton whose dedicated execution time should be
-/// `target_seconds` (K = traced elapsed / target).
-Skeleton build_skeleton_for_time(const sig::Signature& signature,
-                                 double target_seconds,
-                                 const ScaleOptions& options = {});
-
 /// Replay behaviour knobs.
 struct ReplayOptions {
   /// When set, each compute phase samples its duration from the cluster's

@@ -58,15 +58,6 @@ ValidateMode parse_validate_mode(const std::string& text) {
                     text + "')");
 }
 
-const char* validate_mode_name(ValidateMode mode) {
-  switch (mode) {
-    case ValidateMode::kStrict: return "strict";
-    case ValidateMode::kSalvage: return "salvage";
-    case ValidateMode::kOff: return "off";
-  }
-  return "unknown";
-}
-
 archive::Status check_frame_body_size(std::size_t size) {
   if (size > kMaxEncodableBody) {
     return Error{ErrorCode::kTruncated,

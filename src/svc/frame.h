@@ -119,7 +119,6 @@ enum class ValidateMode : std::uint8_t {
 /// Parses a --validate flag value; throws ConfigError listing the valid
 /// modes on anything else (mirrors the unknown-scenario-name behaviour).
 ValidateMode parse_validate_mode(const std::string& text);
-const char* validate_mode_name(ValidateMode mode);
 
 /// Cap on kConstruct's scaling factor K, so a hostile request cannot ask
 /// for an absurd compression target.

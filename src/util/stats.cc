@@ -5,13 +5,6 @@
 
 namespace psk::util {
 
-double mean_of(std::span<const double> xs) {
-  if (xs.empty()) return 0.0;
-  double sum = 0.0;
-  for (double x : xs) sum += x;
-  return sum / static_cast<double>(xs.size());
-}
-
 Summary summarize(std::span<const double> xs) {
   Summary s;
   s.count = xs.size();

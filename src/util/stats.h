@@ -37,9 +37,6 @@ class RunningStats {
   double max_ = 0.0;
 };
 
-/// Mean of a sequence; 0 for an empty sequence.
-double mean_of(std::span<const double> xs);
-
 /// Population min / max / mean summary of a sequence.
 struct Summary {
   double min = 0.0;

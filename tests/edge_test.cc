@@ -102,7 +102,9 @@ TEST(NetworkEdge, BandwidthChangeMidFlowRerates) {
   net.transfer(0, 1, 200, [&] { done_at = engine.now(); });
   // After 1 s (100 bytes done), halve the uplink: remaining 100 bytes at
   // 50 B/s take 2 more seconds.
-  engine.at(1.0, [&] { net.set_uplink_bandwidth(0, 50.0); });
+  engine.at(1.0, [&] {
+    net.set_link_capacity(net.topology().uplink(0), 50.0);
+  });
   engine.run();
   EXPECT_NEAR(done_at, 3.0, 1e-9);
 }
@@ -113,7 +115,8 @@ TEST(NetworkEdge, AsymmetricUpDownLinks) {
                                              .bandwidth_bps = 100.0,
                                              .latency = 0.0,
                                              .local_latency = 0.0});
-  net.set_downlink_bandwidth(1, 10.0);  // receiver is the bottleneck
+  // The receiver is the bottleneck.
+  net.set_link_capacity(net.topology().downlink(1), 10.0);
   double done_at = -1;
   net.transfer(0, 1, 100, [&] { done_at = engine.now(); });
   engine.run();
@@ -141,11 +144,14 @@ TEST(NetworkEdge, BackgroundFlowOnlyAffectsItsLinks) {
                                              .bandwidth_bps = 100.0,
                                              .latency = 0.0,
                                              .local_latency = 0.0});
-  net.add_background_flow(0, 1);
+  // A long 0 -> 1 transfer is still in flight for the whole 2 -> 3 one.
+  double busy = -1;
+  net.transfer(0, 1, 1000, [&] { busy = engine.now(); });
   double other = -1;
   net.transfer(2, 3, 100, [&] { other = engine.now(); });
   engine.run();
   EXPECT_NEAR(other, 1.0, 1e-9);  // full bandwidth, unaffected
+  EXPECT_NEAR(busy, 10.0, 1e-9);
 }
 
 // ------------------------------------------------------------- MPI edges

@@ -307,29 +307,31 @@ TEST(Validate, SkeletonScalingFactorBelowOneIsAnError) {
 
 // ---------------------------------------------------------------- salvage
 
-TEST(Salvage, CleanTraceFileIsClean) {
+TEST(Salvage, CleanSkeletonFileIsClean) {
   ScratchDir dir("salvage_clean");
-  const std::string path = dir.file("t.trace");
-  trace::save_trace(path, matched_pair_trace());
+  const std::string path = dir.file("k.skel");
+  skeleton::Skeleton skeleton;
+  skeleton.app_name = "k";
+  skeleton.scaling_factor = 2.0;
+  skeleton.ranks = tiny_signature().ranks;
+  skeleton::save_skeleton(path, skeleton);
   guard::SalvageReport report;
-  const auto trace = guard::salvage_trace_file(path, report);
-  ASSERT_TRUE(trace.has_value());
+  const auto salvaged = guard::salvage_skeleton_file(path, report);
+  ASSERT_TRUE(salvaged.has_value());
   EXPECT_TRUE(report.clean);
   EXPECT_TRUE(report.recovered);
-  EXPECT_EQ(trace->rank_count(), 2);
+  EXPECT_EQ(salvaged->rank_count(), 1);
 }
 
 TEST(Salvage, TruncatedTextTraceKeepsEventPrefix) {
-  ScratchDir dir("salvage_trunc");
-  const std::string path = dir.file("t.trace");
   trace::Trace trace = matched_pair_trace();
   // Give rank 1 a second event so truncating mid-line drops exactly it.
   trace.ranks[1].events.push_back(trace.ranks[1].events[0]);
   const std::string text = trace::trace_to_string(trace);
   // Cut inside the last event line.
-  write_file(path, text.substr(0, text.size() - 10));
   guard::SalvageReport report;
-  const auto salvaged = guard::salvage_trace_file(path, report);
+  const auto salvaged =
+      guard::salvage_trace_bytes(text.substr(0, text.size() - 10), report);
   ASSERT_TRUE(salvaged.has_value());
   EXPECT_FALSE(report.clean);
   EXPECT_TRUE(report.recovered);
@@ -347,9 +349,9 @@ TEST(Salvage, TruncatedArchiveKeepsDecodedPrefix) {
                     std::istreambuf_iterator<char>());
   // Drop the checksum trailer and a little payload: strict load fails,
   // salvage decodes the surviving whole events.
-  write_file(path, bytes.substr(0, bytes.size() - 12));
   guard::SalvageReport report;
-  const auto salvaged = guard::salvage_trace_file(path, report);
+  const auto salvaged =
+      guard::salvage_trace_bytes(bytes.substr(0, bytes.size() - 12), report);
   ASSERT_TRUE(salvaged.has_value());
   EXPECT_FALSE(report.clean);
   EXPECT_GT(report.byte_offset, 0u);  // binary diagnostics carry an offset
@@ -357,16 +359,14 @@ TEST(Salvage, TruncatedArchiveKeepsDecodedPrefix) {
 }
 
 TEST(Salvage, TornSignatureDropsWholeRanks) {
-  ScratchDir dir("salvage_sig");
-  const std::string path = dir.file("s.sig");
   sig::Signature signature = tiny_signature();
   sig::RankSignature second = signature.ranks[0];
   second.rank = 1;
   signature.ranks.push_back(second);
   const std::string text = sig::signature_to_string(signature);
-  write_file(path, text.substr(0, text.size() - 5));
   guard::SalvageReport report;
-  const auto salvaged = guard::salvage_signature_file(path, report);
+  const auto salvaged =
+      guard::salvage_signature_bytes(text.substr(0, text.size() - 5), report);
   ASSERT_TRUE(salvaged.has_value());
   EXPECT_FALSE(report.clean);
   EXPECT_EQ(report.ranks_expected, 2u);
@@ -376,13 +376,13 @@ TEST(Salvage, TornSignatureDropsWholeRanks) {
 }
 
 TEST(Salvage, RanksLineTornBeforeCountIsRejected) {
-  // A file torn exactly mid-"ranks N" leaves "ranks " with no count field;
+  // Bytes torn exactly mid-"ranks N" leave "ranks " with no count field;
   // salvage must diagnose it, not index past the end of the split fields.
-  ScratchDir dir("salvage_torn_ranks");
-  const std::string path = dir.file("s.sig");
-  write_file(path, "psk-signature 1\napp x\nthreshold 0.1\nratio 1\nranks ");
   guard::SalvageReport report;
-  EXPECT_FALSE(guard::salvage_signature_file(path, report).has_value());
+  EXPECT_FALSE(guard::salvage_signature_bytes(
+                   "psk-signature 1\napp x\nthreshold 0.1\nratio 1\nranks ",
+                   report)
+                   .has_value());
   EXPECT_FALSE(report.recovered);
   EXPECT_NE(report.detail.find("bad ranks count"), std::string::npos)
       << report.render();
@@ -423,18 +423,16 @@ TEST(Salvage, BytesEntryPointRecoversTornSignature) {
 }
 
 TEST(Salvage, HopelessFileReturnsNullopt) {
-  ScratchDir dir("salvage_hopeless");
-  const std::string path = dir.file("junk.trace");
-  write_file(path, "not even close\n");
   guard::SalvageReport report;
-  EXPECT_FALSE(guard::salvage_trace_file(path, report).has_value());
+  EXPECT_FALSE(
+      guard::salvage_trace_bytes("not even close\n", report).has_value());
   EXPECT_FALSE(report.recovered);
   EXPECT_FALSE(report.detail.empty());
 }
 
 TEST(Salvage, MissingFileStillThrows) {
   guard::SalvageReport report;
-  EXPECT_THROW(guard::salvage_trace_file("/nonexistent/x.trace", report),
+  EXPECT_THROW(guard::salvage_skeleton_file("/nonexistent/x.skel", report),
                Error);
 }
 

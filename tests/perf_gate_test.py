@@ -17,6 +17,11 @@ END_TO_END = [
     {"name": "wall_s", "better": "lower", "bound": 0.25},
     {"name": "ops_per_s", "better": "higher", "bound": 0.25},
 ]
+PER_LAYER = [{"name": "sim.queue_ns_per_event"},
+             {"name": "sim.stack_ns_per_event"},
+             {"name": "sim.net_share"},
+             {"name": "svc.capacity_rps"}]
+BENCHMARK = {"end_to_end": END_TO_END, "per_layer": PER_LAYER}
 COUNTERS = {"sim.events": 771402, "alloc.per_event": 14.87859508,
             "alloc.exact_repeat": 1}
 
@@ -89,6 +94,37 @@ class PerfGateTest(unittest.TestCase):
         got = verdicts(side(TIGHT), side(TIGHT, unrepeated))
         self.assertEqual(got["alloc.exact_repeat"], "WORSE")
         self.assertFalse(passes(side(TIGHT), side(TIGHT, unrepeated)))
+
+    def test_moved_end_to_end_row_names_its_layers(self):
+        base_layers = dict(COUNTERS, **{"sim.queue_ns_per_event": 10.0,
+                                        "sim.stack_ns_per_event": 20.0,
+                                        "svc.capacity_rps": 0})
+        # sim.net_share only on the change side, sim.host_s not a layer
+        # metric, svc.capacity_rps 0 on both sides: none is listed.
+        change_layers = dict(COUNTERS, **{"sim.queue_ns_per_event": 15.0,
+                                          "sim.stack_ns_per_event": 19.0,
+                                          "sim.net_share": 0.5,
+                                          "sim.host_s": 9.0,
+                                          "svc.capacity_rps": 0})
+        for base_walls in (TIGHT, WIDE):  # WORSE, then unresolved
+            base = side(base_walls, base_layers)
+            change = side([w * 1.3 for w in base_walls], change_layers)
+            rows = perf_gate.compare(END_TO_END, base, change)
+            got = perf_gate.layer_deltas(BENCHMARK, rows, base, change)
+            self.assertEqual(
+                [(row[1], row[2], row[3]) for row in got],
+                [("sim.queue_ns_per_event", 10.0, 15.0),
+                 ("sim.stack_ns_per_event", 20.0, 19.0)])
+            self.assertAlmostEqual(got[0][4], 0.5)
+            self.assertAlmostEqual(got[1][4], -0.05)
+            self.assertIn("+50.0%", perf_gate.format_layer_row(got[0]))
+
+    def test_unmoved_end_to_end_rows_name_no_layer(self):
+        base = side(TIGHT, dict(COUNTERS, **{"sim.net_share": 0.2}))
+        change = side(TIGHT, dict(COUNTERS, **{"sim.net_share": 0.4}))
+        rows = perf_gate.compare(END_TO_END, base, change)
+        self.assertEqual(perf_gate.layer_deltas(BENCHMARK, rows, base, change),
+                         [])
 
     def test_run_without_result_line_fails(self):
         run = perf_gate.parse_run(2, "perfbench: build failed\n")

@@ -16,6 +16,12 @@ sim::ClusterConfig quiet_cluster() {
   return config;
 }
 
+/// Capacity of `node`'s access uplink, the link the scenarios shape.
+double uplink_capacity(sim::Machine& machine, int node) {
+  sim::Network& net = machine.network();
+  return net.link_capacity(net.topology().uplink(node));
+}
+
 TEST(Scenarios, PaperSetHasFive) {
   ASSERT_EQ(paper_scenarios().size(), 5u);
   EXPECT_EQ(std::string(paper_scenarios()[0].name), "cpu-one-node");
@@ -65,7 +71,7 @@ TEST(Scenarios, DedicatedLeavesMachineUntouched) {
   sim::Machine machine(quiet_cluster());
   dedicated().apply(machine);
   EXPECT_EQ(machine.node(0).load_processes(), 0);
-  EXPECT_DOUBLE_EQ(machine.network().uplink_bandwidth(0),
+  EXPECT_DOUBLE_EQ(uplink_capacity(machine, 0),
                    quiet_cluster().link_bandwidth_bps);
 }
 
@@ -88,8 +94,8 @@ TEST(Scenarios, NetOneLinkShapesOnlyAffectedLink) {
   sim::Machine machine(quiet_cluster());
   find_scenario("net-one-link").apply(machine);
   // Around 10 Mbps with flutter: within the +-30% flutter amplitude.
-  EXPECT_NEAR(machine.network().uplink_bandwidth(0), 1.25e6, 1.25e6 * 0.31);
-  EXPECT_DOUBLE_EQ(machine.network().uplink_bandwidth(1),
+  EXPECT_NEAR(uplink_capacity(machine, 0), 1.25e6, 1.25e6 * 0.31);
+  EXPECT_DOUBLE_EQ(uplink_capacity(machine, 1),
                    quiet_cluster().link_bandwidth_bps);
 }
 
@@ -97,21 +103,21 @@ TEST(Scenarios, CombinedScenarioDoesBoth) {
   sim::Machine machine(quiet_cluster());
   find_scenario("cpu-and-net").apply(machine);
   EXPECT_EQ(machine.node(0).load_processes(), 2);
-  EXPECT_NEAR(machine.network().uplink_bandwidth(0), 1.25e6, 1.25e6 * 0.31);
+  EXPECT_NEAR(uplink_capacity(machine, 0), 1.25e6, 1.25e6 * 0.31);
   EXPECT_EQ(machine.node(1).load_processes(), 0);
 }
 
 TEST(Scenarios, FlutterResamplesOverTime) {
   sim::Machine machine(quiet_cluster());
   find_scenario("net-one-link").apply(machine);
-  const double before = machine.network().uplink_bandwidth(0);
+  const double before = uplink_capacity(machine, 0);
   // A long-running task keeps the simulation alive through several flutter
   // periods.
   machine.engine().spawn([](sim::Engine& engine) -> sim::Task {
     co_await engine.sleep(30.0);
   }(machine.engine()));
   machine.engine().run();
-  const double after = machine.network().uplink_bandwidth(0);
+  const double after = uplink_capacity(machine, 0);
   EXPECT_NE(before, after);
   EXPECT_NEAR(after, 1.25e6, 1.25e6 * 0.31);
 }
@@ -126,7 +132,7 @@ TEST(Scenarios, FlutterIsSeeded) {
       co_await engine.sleep(20.0);
     }(machine.engine()));
     machine.engine().run();
-    return machine.network().uplink_bandwidth(2);
+    return uplink_capacity(machine, 2);
   };
   EXPECT_DOUBLE_EQ(bandwidth_after(5), bandwidth_after(5));
   EXPECT_NE(bandwidth_after(5), bandwidth_after(6));

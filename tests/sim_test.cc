@@ -368,22 +368,14 @@ TEST(Network, ShapedLinkSlowsTransfer) {
 }
 
 TEST(Network, BackgroundFlowHalvesBandwidth) {
+  // An equal competing transfer on the same path halves each one's share.
   NetFixture f;
-  f.net.add_background_flow(0, 1);
-  double done_at = -1;
+  double done_at = -1, other_at = -1;
   f.net.transfer(0, 1, 100, [&] { done_at = f.engine.now(); });
+  f.net.transfer(0, 1, 100, [&] { other_at = f.engine.now(); });
   f.engine.run();
   EXPECT_NEAR(done_at, 0.5 + 2.0, 1e-9);
-}
-
-TEST(Network, ClearBackgroundFlowsRestores) {
-  NetFixture f;
-  f.net.add_background_flow(0, 1);
-  f.net.clear_background_flows();
-  double done_at = -1;
-  f.net.transfer(0, 1, 100, [&] { done_at = f.engine.now(); });
-  f.engine.run();
-  EXPECT_NEAR(done_at, 1.5, 1e-9);
+  EXPECT_NEAR(other_at, 0.5 + 2.0, 1e-9);
 }
 
 TEST(Network, LocalTransferBypassesLinks) {

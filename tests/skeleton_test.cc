@@ -218,20 +218,6 @@ TEST(Build, IntendedTimeFollowsK) {
   EXPECT_EQ(skeleton.rank_count(), 4);
 }
 
-TEST(Build, ForTimeComputesK) {
-  const sig::Signature signature = signature_of("SP", apps::NasClass::kS, 10);
-  const double target = signature.elapsed() / 8.0;
-  const Skeleton skeleton = build_skeleton_for_time(signature, target);
-  EXPECT_NEAR(skeleton.scaling_factor, 8.0, 1e-9);
-}
-
-TEST(Build, TargetLongerThanAppClampsToUnity) {
-  const sig::Signature signature = signature_of("SP", apps::NasClass::kS, 10);
-  const Skeleton skeleton =
-      build_skeleton_for_time(signature, signature.elapsed() * 10);
-  EXPECT_DOUBLE_EQ(skeleton.scaling_factor, 1.0);
-}
-
 class EveryBenchmarkSkeleton
     : public ::testing::TestWithParam<const apps::BenchmarkDef*> {};
 
@@ -276,11 +262,12 @@ TEST(GoodSkeleton, DominantLoopBodySetsMinimum) {
 TEST(GoodSkeleton, FlagFollowsIntendedTime) {
   const sig::Signature signature = signature_of("IS", apps::NasClass::kS, 5);
   const GoodSkeletonEstimate estimate = estimate_good_skeleton(signature);
-  const Skeleton large = build_skeleton_for_time(
-      signature, estimate.min_good_time * 2.0);
+  // K = elapsed / target: twice and a quarter of the minimum good time.
+  const Skeleton large = build_skeleton(
+      signature, signature.elapsed() / (estimate.min_good_time * 2.0));
   EXPECT_TRUE(large.good);
-  const Skeleton tiny = build_skeleton_for_time(
-      signature, estimate.min_good_time / 4.0);
+  const Skeleton tiny = build_skeleton(
+      signature, signature.elapsed() / (estimate.min_good_time / 4.0));
   EXPECT_FALSE(tiny.good);
   EXPECT_DOUBLE_EQ(tiny.min_good_time, large.min_good_time);
 }

@@ -165,7 +165,7 @@ TEST_P(SharingCores, NestedFaultOnCoreLinkPausesExactly) {
   engine.at(0.75, [&] {
     net.pop_fault_on(core_up);  // still faulted (depth 1)
     EXPECT_FALSE(net.link_healthy(core_up));
-    EXPECT_EQ(net.transfers_pending(), 1u);  // paused, not dropped
+    EXPECT_EQ(net.active_flows(), 1u);  // paused, not dropped
   });
   engine.at(1.25, [&] { net.pop_fault_on(core_up); });
   engine.run();
@@ -218,10 +218,10 @@ TEST_P(SharingCores, SetLinkCapacityOnCoreLinkRerates) {
 
 // --------------------------------------- incremental vs dense (reference)
 
-// Runs a contention-heavy script -- staggered transfers, a background
-// flow, a capacity change, a nested link fault -- and returns every
-// transfer's completion time.  The dense core is the seed's arithmetic, so
-// agreement here is the incremental core's correctness test.
+// Runs a contention-heavy script -- staggered transfers, a long transfer in
+// flight across a capacity change and a nested link fault -- and returns
+// every transfer's completion time.  The dense core is the seed's
+// arithmetic, so agreement here is the incremental core's correctness test.
 std::vector<double> run_script(const TopologySpec& topology,
                                NetworkConfig::Sharing sharing) {
   sim::Engine engine;
@@ -233,14 +233,15 @@ std::vector<double> run_script(const TopologySpec& topology,
                        .topology = topology,
                        .sharing = sharing};
   Network net(engine, config);
-  std::vector<double> done(8, -1.0);
+  std::vector<double> done(9, -1.0);
   auto mark = [&](int i) { return [&done, &engine, i] { done[static_cast<std::size_t>(i)] = engine.now(); }; };
   net.transfer(0, 4, 300, mark(0));
   net.transfer(1, 4, 200, mark(1));
   net.transfer(2, 5, 250, mark(2));
   net.transfer(0, 7, 120, mark(3));
   engine.at(0.5, [&] {
-    net.add_background_flow(3, 6);
+    // At most 100 B/s: still carrying bytes at t=3.0.
+    net.transfer(3, 6, 400, mark(8));
     net.transfer(6, 1, 180, mark(4));
   });
   engine.at(1.2, [&] {
@@ -255,10 +256,7 @@ std::vector<double> run_script(const TopologySpec& topology,
     net.pop_fault_on(faulty);
     net.transfer(7, 0, 140, mark(6));
   });
-  engine.at(3.0, [&] {
-    net.clear_background_flows();
-    net.transfer(4, 3, 160, mark(7));
-  });
+  engine.at(3.0, [&] { net.transfer(4, 3, 160, mark(7)); });
   engine.run();
   return done;
 }
@@ -309,8 +307,6 @@ TEST(NetworkConfigApi, NodeConveniencesMapToAccessLinks) {
   sim::Engine engine;
   Network net(engine, small_fattree(NetworkConfig::Sharing::kAuto));
   net.set_link_bandwidth(2, 40.0);  // both directions, one pass
-  EXPECT_EQ(net.uplink_bandwidth(2), 40.0);
-  EXPECT_EQ(net.downlink_bandwidth(2), 40.0);
   EXPECT_EQ(net.link_capacity(net.topology().uplink(2)), 40.0);
   EXPECT_EQ(net.link_capacity(net.topology().downlink(2)), 40.0);
   net.push_link_fault(2);

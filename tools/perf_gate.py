@@ -10,13 +10,17 @@ Each tree builds into its own .bench_build.  The gate fails when a run on
 either side fails, when an end-to-end metric's median is worse than the
 base's by more than its BENCHMARK.json bound, or when an exact work counter
 rises.  A metric whose base spread (interquartile range over median) is wider
-than its bound is reported unresolved and does not fail.  Wall-clock numbers
+than its bound is reported unresolved and does not fail.  When an end-to-end
+row is WORSE or unresolved on a workload with a traced pair, the gate also
+prints that pair's per-layer metrics, largest relative move first, so the
+row names the layer that moved.  Wall-clock numbers
 do not port across machines, and allocation counts depend on the standard
 library, so both are compared against the base in the same job, never
 against a checked-in number.  Exits 0 on pass, 1 on failure and 2 on a usage
 error.
 """
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -152,6 +156,40 @@ def compare(end_to_end, base, change):
     return rows
 
 
+def layer_deltas(benchmark, rows, base, change):
+    """Rows (workload, metric, base, change, delta) naming the moved layers.
+
+    For every workload with a WORSE or unresolved end-to-end row and a traced
+    pair on both sides: each BENCHMARK.json per_layer metric that both traced
+    runs report, with its relative delta (change - base) / |base|, sorted by
+    the size of the delta, largest first.  A metric reading 0 on both sides
+    belongs to a layer the workload does not run and is left out.
+    """
+    end_to_end = {spec["name"] for spec in benchmark["end_to_end"]}
+    flagged = []
+    for workload, name, _, _, _, verdict in rows:
+        if (name in end_to_end and verdict in ("WORSE", "unresolved")
+                and workload not in flagged):
+            flagged.append(workload)
+    out = []
+    for workload in flagged:
+        base_run = base[workload].get("traced")
+        change_run = change[workload].get("traced")
+        if base_run is None or change_run is None:
+            continue
+        layer = []
+        for spec in benchmark["per_layer"]:
+            b = metric(base_run, spec["name"])
+            c = metric(change_run, spec["name"])
+            if b is None or c is None or b == c == 0:
+                continue
+            delta = (c - b) / abs(b) if b else math.copysign(math.inf, c)
+            layer.append((workload, spec["name"], b, c, delta))
+        layer.sort(key=lambda row: -abs(row[4]))
+        out += layer
+    return out
+
+
 def passed(rows):
     return not any(row[5] in ("WORSE", "FAILED", "MISSING") for row in rows)
 
@@ -165,6 +203,12 @@ def format_row(row):
     return "%-11s %-20s base %-12s change %-14s spread %-6s %s" % (
         workload, name, cell(base), cell(change), cell(spread, "%.3f"),
         verdict)
+
+
+def format_layer_row(row):
+    workload, name, base, change, delta = row
+    return "%-11s %-32s base %-12.6g change %-12.6g %+.1f%%" % (
+        workload, name, base, change, 100.0 * delta)
 
 
 def run(command, side, tree, workload, seed, trace):
@@ -218,6 +262,11 @@ def main(argv):
                    results["change"])
     for row in rows:
         print(format_row(row))
+    layers = layer_deltas(benchmark, rows, results["base"], results["change"])
+    if layers:
+        print("per-layer deltas of the traced seed-1 pair:")
+        for row in layers:
+            print(format_layer_row(row))
     ok = passed(rows)
     print("perf gate: %s" % ("pass" if ok else "FAIL"))
     return 0 if ok else 1
