@@ -49,9 +49,10 @@ int Grid2D::east_open(int rank) const {
 }
 
 int Grid2D::transpose(int rank) const {
-  util::require(rows_ == cols_,
-                "Grid2D::transpose requires a square grid, got " +
-                    std::to_string(rows_) + "x" + std::to_string(cols_));
+  util::require(rows_ == cols_, [&] {
+    return "Grid2D::transpose requires a square grid, got " +
+           std::to_string(rows_) + "x" + std::to_string(cols_);
+  });
   return at(col_of(rank), row_of(rank));
 }
 

@@ -14,16 +14,18 @@ MessageEngine::MessageEngine(sim::Machine& machine,
       config_(config) {
   util::require(!rank_to_node_.empty(), "MessageEngine: no ranks");
   for (int node : rank_to_node_) {
-    util::require(node >= 0 && node < machine_.node_count(),
-                  "MessageEngine: rank mapped to invalid node " +
-                      std::to_string(node));
+    util::require(node >= 0 && node < machine_.node_count(), [&] {
+      return "MessageEngine: rank mapped to invalid node " +
+             std::to_string(node);
+    });
   }
   requests_.resize(rank_to_node_.size());
 }
 
 int MessageEngine::node_of(int rank) const {
-  util::require(rank >= 0 && rank < rank_count(),
-                "MessageEngine: invalid rank " + std::to_string(rank));
+  util::require(rank >= 0 && rank < rank_count(), [&] {
+    return "MessageEngine: invalid rank " + std::to_string(rank);
+  });
   return rank_to_node_[static_cast<std::size_t>(rank)];
 }
 
@@ -92,6 +94,13 @@ std::vector<MessageEngine::PendingWait> MessageEngine::pending_waits() const {
   return waits;
 }
 
+void MessageEngine::erase_if_drained(ChannelMap::iterator slot) {
+  if (slot->second.unmatched_sends.empty() &&
+      slot->second.unmatched_recvs.empty()) {
+    channels_.erase(slot);
+  }
+}
+
 void MessageEngine::start_transfer(const std::shared_ptr<Message>& message,
                                    sim::Time extra_delay) {
   message->transfer_started = true;
@@ -136,11 +145,13 @@ Request MessageEngine::post_send(int src, int dst, Bytes bytes, int tag) {
   message->eager = bytes <= config_.eager_threshold;
   message->send_req = request.id;
 
-  Channel& channel = channels_[ChannelKey{src, dst, tag}];
+  const auto slot = channels_.try_emplace(ChannelKey{src, dst, tag}).first;
+  Channel& channel = slot->second;
   if (!channel.unmatched_recvs.empty()) {
     // A receive was already posted: adopt its request and start immediately.
     auto recv_holder = channel.unmatched_recvs.front();
     channel.unmatched_recvs.pop_front();
+    erase_if_drained(slot);
     message->recv_posted = true;
     message->recv_req = recv_holder->recv_req;
     const sim::Time handshake =
@@ -171,13 +182,15 @@ Request MessageEngine::post_recv(int dst, int src, int tag) {
     state.tag = tag;
   }
 
-  Channel& channel = channels_[ChannelKey{src, dst, tag}];
+  const auto slot = channels_.try_emplace(ChannelKey{src, dst, tag}).first;
+  Channel& channel = slot->second;
   // Match the oldest not-yet-received send on this channel (FIFO ordering).
   for (auto it = channel.unmatched_sends.begin();
        it != channel.unmatched_sends.end(); ++it) {
     if ((*it)->recv_posted) continue;
     auto message = *it;
     channel.unmatched_sends.erase(it);
+    erase_if_drained(slot);
     message->recv_posted = true;
     message->recv_req = request.id;
     if (message->eager) {

@@ -55,6 +55,10 @@ class MessageEngine {
   /// Total messages fully delivered (for tests and reporting).
   std::uint64_t messages_delivered() const { return delivered_; }
 
+  /// Matching channels currently held: (src, dst, tag) triples with an
+  /// unmatched send or a parked receive.  Zero once all traffic matched.
+  std::size_t live_channels() const { return channels_.size(); }
+
   /// Timed-wait expiries observed across all ranks (each backoff retry
   /// counts once); a cheap health signal for fault experiments.
   std::uint64_t wait_timeouts() const { return wait_timeouts_; }
@@ -104,13 +108,19 @@ class MessageEngine {
     Bytes bytes = 0;
   };
 
+  // A channel lives only while it holds an unmatched send or a parked
+  // receive: the match that empties it erases it, so the table stays as
+  // small as the traffic in flight even though every collective takes a
+  // fresh tag.
   using ChannelKey = std::tuple<int, int, int>;  // src, dst, tag
   struct Channel {
     std::deque<std::shared_ptr<Message>> unmatched_sends;
     std::deque<std::shared_ptr<Message>> unmatched_recvs;
   };
+  using ChannelMap = std::map<ChannelKey, Channel>;
 
   Request alloc_request(int rank);
+  void erase_if_drained(ChannelMap::iterator slot);
   void complete_request(int rank, std::uint32_t id);
   void start_transfer(const std::shared_ptr<Message>& message,
                       sim::Time extra_delay);
@@ -119,7 +129,7 @@ class MessageEngine {
   sim::Machine& machine_;
   std::vector<int> rank_to_node_;
   MpiConfig config_;
-  std::map<ChannelKey, Channel> channels_;
+  ChannelMap channels_;
   std::vector<std::vector<RequestState>> requests_;  // [rank][id]
   std::uint64_t delivered_ = 0;
   std::uint64_t wait_timeouts_ = 0;

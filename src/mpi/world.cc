@@ -39,8 +39,9 @@ World::World(sim::Machine& machine, std::vector<int> rank_to_node,
 }
 
 Comm& World::comm(int rank) {
-  util::require(rank >= 0 && rank < size(),
-                "World::comm: invalid rank " + std::to_string(rank));
+  util::require(rank >= 0 && rank < size(), [&] {
+    return "World::comm: invalid rank " + std::to_string(rank);
+  });
   return *comms_[static_cast<std::size_t>(rank)];
 }
 

@@ -41,7 +41,7 @@ void Engine::remove_quiescence_monitor(QuiescenceMonitor* monitor) {
 
 void Engine::spawn(Task task) {
   util::require(task.valid(), "Engine::spawn: invalid task");
-  task.set_failure_flag(&task_failed_);
+  task.watch(&task_failed_, &finished_tasks_);
   tasks_.push_back(std::move(task));
   // Defer the start so every rank begins at a well-defined event, in spawn
   // order, rather than synchronously inside the caller.  `tasks_` may
@@ -127,14 +127,6 @@ void Engine::check_quiescence() {
   for (QuiescenceMonitor* monitor : monitors_) {
     if (monitor->blocked_tasks() > 0) monitor->report_deadlock();
   }
-}
-
-std::size_t Engine::unfinished_tasks() const {
-  std::size_t n = 0;
-  for (const Task& task : tasks_) {
-    if (!task.done()) ++n;
-  }
-  return n;
 }
 
 }  // namespace psk::sim

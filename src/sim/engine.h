@@ -89,8 +89,10 @@ class Engine {
   void set_wall_deadline(double seconds) { wall_deadline_ = seconds; }
   double wall_deadline() const { return wall_deadline_; }
 
-  /// Number of spawned tasks that have not completed.
-  std::size_t unfinished_tasks() const;
+  /// Number of spawned tasks that have not completed.  O(1).
+  std::size_t unfinished_tasks() const {
+    return tasks_.size() - finished_tasks_;
+  }
 
   /// Registers/unregisters a quiescence monitor.  While at least one monitor
   /// is registered, run() checks after every dispatched event whether the
@@ -127,9 +129,11 @@ class Engine {
   EventQueue queue_;
   std::vector<Task> tasks_;
   std::vector<QuiescenceMonitor*> monitors_;
-  /// Set by any spawned task's promise when an exception escapes it (see
-  /// Task::set_failure_flag); lets run() check for failure in O(1).
+  /// Set by any spawned task's promise when an exception escapes it, and
+  /// bumped by it when it finishes (see Task::watch); lets run() check for
+  /// failure and completion in O(1).
   bool task_failed_ = false;
+  std::size_t finished_tasks_ = 0;
   Time now_ = 0.0;
   Time time_limit_ = 1.0e9;  // ~30 simulated years: any real run is shorter
   double wall_deadline_ = 0.0;

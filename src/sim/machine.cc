@@ -52,9 +52,9 @@ void Machine::attach_obs(obs::Recorder* recorder) {
 }
 
 CpuNode& Machine::node(int index) {
-  util::require(index >= 0 && index < config_.nodes,
-                "Machine::node: index " + std::to_string(index) +
-                    " out of range");
+  util::require(index >= 0 && index < config_.nodes, [&] {
+    return "Machine::node: index " + std::to_string(index) + " out of range";
+  });
   return nodes_[static_cast<std::size_t>(index)];
 }
 
@@ -67,18 +67,19 @@ void Machine::crash_node(int index) {
 
 void Machine::restore_node(int index) {
   node(index);
-  util::require(crash_depth_[static_cast<std::size_t>(index)] > 0,
-                "Machine::restore_node: node " + std::to_string(index) +
-                    " is not crashed");
+  util::require(crash_depth_[static_cast<std::size_t>(index)] > 0, [&] {
+    return "Machine::restore_node: node " + std::to_string(index) +
+           " is not crashed";
+  });
   --crash_depth_[static_cast<std::size_t>(index)];
   nodes_[static_cast<std::size_t>(index)].pop_stall();
   network_.pop_link_fault(index);
 }
 
 bool Machine::node_up(int index) const {
-  util::require(index >= 0 && index < config_.nodes,
-                "Machine::node_up: index " + std::to_string(index) +
-                    " out of range");
+  util::require(index >= 0 && index < config_.nodes, [&] {
+    return "Machine::node_up: index " + std::to_string(index) + " out of range";
+  });
   return crash_depth_[static_cast<std::size_t>(index)] == 0;
 }
 

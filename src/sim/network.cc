@@ -36,17 +36,17 @@ Network::Network(Engine& engine, const NetworkConfig& config)
 }
 
 void Network::check_node(int node) const {
-  util::require(node >= 0 && node < topo_.node_count(),
-                "Network: node index " + std::to_string(node) +
-                    " out of range [0," + std::to_string(topo_.node_count()) +
-                    ")");
+  util::require(node >= 0 && node < topo_.node_count(), [&] {
+    return "Network: node index " + std::to_string(node) + " out of range [0," +
+           std::to_string(topo_.node_count()) + ")";
+  });
 }
 
 void Network::check_link(LinkId link) const {
-  util::require(link >= 0 && link < topo_.link_count(),
-                "Network: link id " + std::to_string(link) +
-                    " out of range [0," + std::to_string(topo_.link_count()) +
-                    ")");
+  util::require(link >= 0 && link < topo_.link_count(), [&] {
+    return "Network: link id " + std::to_string(link) + " out of range [0," +
+           std::to_string(topo_.link_count()) + ")";
+  });
 }
 
 bool Network::path_faulted(const LinkPath& path) const {

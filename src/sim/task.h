@@ -9,6 +9,7 @@
 #pragma once
 
 #include <coroutine>
+#include <cstddef>
 #include <exception>
 #include <utility>
 
@@ -23,10 +24,13 @@ class [[nodiscard]] Task {
     std::coroutine_handle<> continuation;
     std::exception_ptr exception;
     /// Owner-provided flag raised when an exception escapes the coroutine
-    /// body.  The engine points every top-level task at one shared flag so
-    /// its event loop can detect failure in O(1) instead of scanning all
-    /// tasks after every event.
+    /// body, and counter bumped when the coroutine finishes (normally or by
+    /// an exception, i.e. when done() turns true).  The engine points every
+    /// top-level task at one shared flag and one shared counter so its event
+    /// loop can detect failure and completion in O(1) instead of scanning
+    /// all tasks after every event.
     bool* failure_flag = nullptr;
+    std::size_t* finish_counter = nullptr;
 
     Task get_return_object() {
       return Task{handle_type::from_promise(*this)};
@@ -36,6 +40,9 @@ class [[nodiscard]] Task {
     struct FinalAwaiter {
       bool await_ready() noexcept { return false; }
       std::coroutine_handle<> await_suspend(handle_type h) noexcept {
+        if (h.promise().finish_counter != nullptr) {
+          ++*h.promise().finish_counter;
+        }
         auto cont = h.promise().continuation;
         return cont ? cont : std::noop_coroutine();
       }
@@ -85,11 +92,14 @@ class [[nodiscard]] Task {
            handle_.promise().exception != nullptr;
   }
 
-  /// Arms the promise's failure notification (see promise_type). `flag`
-  /// must outlive the coroutine; a child task failing propagates its
-  /// exception to the awaiting parent, so arming top-level tasks suffices.
-  void set_failure_flag(bool* flag) {
-    if (handle_) handle_.promise().failure_flag = flag;
+  /// Arms the promise's failure and completion notifications (see
+  /// promise_type).  Both must outlive the coroutine; a child task failing
+  /// propagates its exception to the awaiting parent, so arming top-level
+  /// tasks suffices.
+  void watch(bool* failure_flag, std::size_t* finish_counter) {
+    if (!handle_) return;
+    handle_.promise().failure_flag = failure_flag;
+    handle_.promise().finish_counter = finish_counter;
   }
 
   /// Awaiting a Task runs it to completion as a child of the awaiting

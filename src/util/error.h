@@ -7,6 +7,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 
 namespace psk {
 
@@ -47,9 +48,28 @@ class TimeoutError : public Error {
 
 namespace util {
 
+// Checks run once or more per simulated MPI call, so a passing check must
+// not allocate.  Pass a literal message as is (the `const char*` form); pass
+// a message built from values as a callable, e.g.
+//   require(ok, [&] { return "bad rank " + std::to_string(rank); });
+// which is called only when the check fails.  The `std::string` form is for
+// messages the caller already holds.
+
 /// Throws ConfigError with `what` when `cond` is false.
+inline void require(bool cond, const char* what) {
+  if (!cond) throw ConfigError(what);
+}
+
 inline void require(bool cond, const std::string& what) {
   if (!cond) throw ConfigError(what);
+}
+
+/// Throws ConfigError with the message `make_what()` returns when `cond` is
+/// false; `make_what` is not called when `cond` holds.
+template <typename MakeWhat>
+  requires std::is_invocable_r_v<std::string, MakeWhat&>
+void require(bool cond, MakeWhat&& make_what) {
+  if (!cond) throw ConfigError(make_what());
 }
 
 }  // namespace util

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "mpi/comm.h"
+#include "mpi/message_engine.h"
 #include "mpi/types.h"
 #include "mpi/world.h"
 #include "sim/machine.h"
@@ -261,6 +262,63 @@ TEST(P2P, UnmatchedRecvDeadlocks) {
     }
   });
   EXPECT_THROW(world.run(), psk::DeadlockError);
+}
+
+// ------------------------------------------------------ matching channels
+
+TEST(Channels, ParkedReceiveHoldsOneChannel) {
+  sim::Machine machine(test_cluster());
+  World world(machine, 2, no_overhead_mpi());
+  MessageEngine& engine = world.message_engine();
+  EXPECT_EQ(engine.live_channels(), 0u);
+  engine.post_recv(/*dst=*/1, /*src=*/0, /*tag=*/7);
+  EXPECT_EQ(engine.live_channels(), 1u);
+  engine.post_send(/*src=*/0, /*dst=*/1, /*bytes=*/10, /*tag=*/7);
+  EXPECT_EQ(engine.live_channels(), 0u);
+}
+
+TEST(Channels, MatchedTrafficLeavesNoChannels) {
+  // Receive-first and send-first, eager (100 B) and rendezvous (2000 B):
+  // while the first side waits its channel is live; once matched it is gone.
+  for (const Bytes bytes : {Bytes{100}, Bytes{2000}}) {
+    for (const bool receiver_first : {true, false}) {
+      SCOPED_TRACE(testing::Message() << bytes << " B, receiver_first="
+                                      << receiver_first);
+      sim::Machine machine(test_cluster());
+      World world(machine, 2, no_overhead_mpi());
+      std::size_t live_while_waiting = 0;
+      world.launch([&](Comm& comm) -> sim::Task {
+        const bool late = (comm.rank() == 0) == receiver_first;
+        if (late) {
+          co_await comm.compute(5.0);
+          live_while_waiting = world.message_engine().live_channels();
+        }
+        if (comm.rank() == 0) {
+          co_await comm.send(1, bytes, /*tag=*/3);
+        } else {
+          co_await comm.recv(0, bytes, /*tag=*/3);
+        }
+      });
+      world.run();
+      EXPECT_EQ(live_while_waiting, 1u);
+      EXPECT_EQ(world.message_engine().messages_delivered(), 1u);
+      EXPECT_EQ(world.message_engine().live_channels(), 0u);
+    }
+  }
+}
+
+TEST(Channels, CollectivesLeaveNoChannels) {
+  sim::Machine machine(test_cluster());
+  World world(machine, 4, no_overhead_mpi());
+  world.launch([&](Comm& comm) -> sim::Task {
+    for (int i = 0; i < 3; ++i) {
+      co_await comm.barrier();
+      co_await comm.allreduce(64);
+    }
+  });
+  world.run();
+  EXPECT_GT(world.message_engine().messages_delivered(), 0u);
+  EXPECT_EQ(world.message_engine().live_channels(), 0u);
 }
 
 // ------------------------------------------------------------- collectives

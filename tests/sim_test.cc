@@ -156,6 +156,32 @@ TEST(Task, FailureAmongManyTasksPropagates) {
   EXPECT_THROW(engine.run(), std::logic_error);
 }
 
+TEST(Task, UnfinishedCountFallsAsTasksFinish) {
+  Engine engine;
+  std::vector<double> first, second;
+  engine.spawn(sleeping_task(engine, first));
+  engine.spawn(sleeping_task(engine, second));
+  EXPECT_EQ(engine.unfinished_tasks(), 2u);
+  engine.run();
+  EXPECT_EQ(engine.unfinished_tasks(), 0u);
+}
+
+TEST(Task, ThrowingTaskCountsAsFinished) {
+  // One task throws at t=1 while the other sleeps until t=10: run() rethrows
+  // the exception, and the task that threw no longer counts as unfinished.
+  Engine engine;
+  engine.spawn(long_sleeper(engine));
+  engine.spawn(throwing_task(engine));
+  EXPECT_EQ(engine.unfinished_tasks(), 2u);
+  try {
+    engine.run();
+    ADD_FAILURE() << "run() did not rethrow";
+  } catch (const std::logic_error& error) {
+    EXPECT_STREQ(error.what(), "task failure");
+  }
+  EXPECT_EQ(engine.unfinished_tasks(), 1u);
+}
+
 Task throwing_child(Engine& engine) {
   co_await engine.sleep(0.5);
   throw std::logic_error("child failure");

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "util/cli.h"
@@ -207,6 +208,25 @@ TEST(Cli, Defaults) {
 TEST(Error, RequireThrows) {
   EXPECT_NO_THROW(require(true, "ok"));
   EXPECT_THROW(require(false, "bad"), ConfigError);
+  EXPECT_NO_THROW(require(true, std::string("held")));
+  EXPECT_THROW(require(false, std::string("held")), ConfigError);
+}
+
+TEST(Error, RequireBuildsMessageOnlyOnFailure) {
+  int calls = 0;
+  const auto message = [&] {
+    ++calls;
+    return "rank " + std::to_string(7) + " out of range";
+  };
+  EXPECT_NO_THROW(require(true, message));
+  EXPECT_EQ(calls, 0);
+  try {
+    require(false, message);
+    ADD_FAILURE() << "require(false, ...) did not throw";
+  } catch (const ConfigError& error) {
+    EXPECT_STREQ(error.what(), "rank 7 out of range");
+  }
+  EXPECT_EQ(calls, 1);
 }
 
 TEST(Cli, ParsePositiveDoublesValidList) {
