@@ -6,7 +6,7 @@
 // Skeletons are shorter than the applications they model, so they sample
 // fewer fault windows; the question is how much that costs.
 //
-// Beyond the usual flags (bench/common.h) this binary exercises the
+// Beyond the experiment flags (core/cli_flags.h) this binary exercises the
 // crash-safe sweep machinery:
 //   --journal=PATH     append each completed cell to PATH as it finishes
 //   --resume           replay PATH and re-run only the missing cells; the
@@ -22,7 +22,8 @@
 #include <string>
 #include <vector>
 
-#include "bench/common.h"
+#include "core/cli_flags.h"
+#include "core/experiment.h"
 #include "runner/journal.h"
 #include "scenario/scenario.h"
 #include "util/error.h"
@@ -67,18 +68,31 @@ bool decode(const std::string& payload, PredictionRecord& record) {
 
 int main(int argc, char** argv) {
   using namespace psk;
-  core::ExperimentConfig config = bench::config_from_cli(
-      argc, argv, {"journal", "resume", "deadline", "op-timeout"});
-  const bench::ObsRequest obs = bench::obs_request(argc, argv);
-  config.skeleton_sizes = {10.0, 2.0};
-
   const util::Cli cli(argc, argv);
+  core::ExperimentConfig config;
+  core::ObsRequest obs;
   runner::JournaledSweepOptions sweep_options;
+  try {
+    cli.require_known(core::experiment_flags(
+        {"journal", "resume", "deadline", "op-timeout"}));
+    config = core::config_from_cli(cli);
+    obs = core::obs_from_cli(cli);
+    sweep_options.journal_path = cli.get("journal", "");
+    sweep_options.resume = cli.get_bool("resume", false);
+    config.framework.wall_deadline_seconds = cli.get_double("deadline", 0.0);
+    config.framework.mpi.op_timeout = cli.get_double("op-timeout", 0.0);
+    util::require(!sweep_options.resume || !sweep_options.journal_path.empty(),
+                  "--resume requires --journal=PATH");
+    util::require(config.framework.wall_deadline_seconds >= 0,
+                  "--deadline must be >= 0");
+    util::require(config.framework.mpi.op_timeout >= 0,
+                  "--op-timeout must be >= 0");
+  } catch (const ConfigError& error) {
+    std::fprintf(stderr, "%s: %s\n", argv[0], error.what());
+    return 2;
+  }
+  config.skeleton_sizes = {10.0, 2.0};
   sweep_options.jobs = config.jobs;
-  sweep_options.journal_path = cli.get("journal", "");
-  sweep_options.resume = cli.get_bool("resume", false);
-  config.framework.wall_deadline_seconds = cli.get_double("deadline", 0.0);
-  config.framework.mpi.op_timeout = cli.get_double("op-timeout", 0.0);
   // Everything that versions the payload bytes goes into the domain: cells
   // only match across journals / shared caches when class, repetition count
   // and the simulated-time MPI timeout agree too, not just the
@@ -92,23 +106,14 @@ int main(int argc, char** argv) {
       "|reps=" + std::to_string(config.repetitions) + "|op-timeout=" +
       op_timeout_text;
   sweep_options.cache = config.framework.result_cache.get();
-  try {
-    util::require(!sweep_options.resume || !sweep_options.journal_path.empty(),
-                  "--resume requires --journal=PATH");
-    util::require(config.framework.wall_deadline_seconds >= 0,
-                  "--deadline must be >= 0");
-    util::require(config.framework.mpi.op_timeout >= 0,
-                  "--op-timeout must be >= 0");
-  } catch (const ConfigError& error) {
-    std::fprintf(stderr, "%s: %s\n", argv[0], error.what());
-    return 2;
-  }
 
-  bench::print_banner(
-      "Extension: prediction accuracy under faults",
+  std::printf(
+      "=== Extension: prediction accuracy under faults ===\n"
       "Skeleton predictions when nodes crash, links flap, and runs are "
-      "checkpointed",
-      config);
+      "checkpointed\n"
+      "setup: NAS class %s, 4 ranks on 4 dual-core nodes, %zu skeleton "
+      "sizes\n\n",
+      apps::class_name(config.app_class), config.skeleton_sizes.size());
 
   // Fault scenarios plus the closest sharing scenarios as the
   // graceful-degradation baseline.
@@ -202,6 +207,6 @@ int main(int argc, char** argv) {
     std::printf("%zu cell(s) failed, %zu timed out (see stderr)\n", failed,
                 timed_out);
   }
-  bench::write_observability(config, obs, &driver);
+  core::write_observability(driver, obs);
   return failed > 0 ? 1 : 0;
 }

@@ -1,8 +1,8 @@
 // Experiment driver: reproduces the paper's evaluation grid.
 //
 // Caches traces, scenario timings, signatures and skeletons so that the
-// per-figure bench binaries (which slice the same grid differently) stay
-// cheap.  All measurements follow section 4.2:
+// `psk figure` entries, which slice the same grid differently and share one
+// driver per invocation, stay cheap.  All measurements follow section 4.2:
 //   - skeletons are constructed for target sizes 10/5/2/1/0.5 seconds;
 //   - prediction = skeleton time in scenario x measured scaling ratio,
 //     where the ratio uses the skeleton's actual dedicated time;

@@ -156,6 +156,7 @@ SocketServer::~SocketServer() {
     }
     threads_.clear();
   }
+  ::close(listen_fd_);
   if (address_.kind == ListenAddress::Kind::kUnix) {
     ::unlink(address_.path.c_str());
   }
@@ -192,8 +193,8 @@ void SocketServer::serve(std::size_t max_connections) {
     if (fd < 0) {
       const int error = errno;
       const AcceptAction action = classify_accept_errno(error);
-      // stop() closed the listener out from under us; everything looks
-      // fatal then, and the loop must end either way.
+      // stop() shut the listener down under us; accept() then fails with
+      // EINVAL, which looks fatal, and the loop must end either way.
       {
         std::lock_guard<std::mutex> lock(mutex_);
         if (stopping_) break;
@@ -267,11 +268,12 @@ void SocketServer::stop() {
       if (auto session = weak.lock()) to_abort.push_back(std::move(session));
     }
   }
-  // Closing the listener unblocks accept(); aborting the sessions unblocks
-  // their reads so serve() can join them.
+  // Shutting the listener down makes a blocked (or later) accept() fail
+  // with EINVAL; aborting the sessions unblocks their reads so serve() can
+  // join them.  The descriptor stays open until the destructor, after
+  // serve() has returned, so serve() never accepts on a closed or reused
+  // descriptor number.
   ::shutdown(listen_fd_, SHUT_RDWR);
-  ::close(listen_fd_);
-  listen_fd_ = -1;
   for (const auto& session : to_abort) session->abort();
 }
 

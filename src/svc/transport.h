@@ -100,8 +100,10 @@ class SocketServer {
   /// past the join via the per-request deliver closures.
   void serve(std::size_t max_connections = 0);
 
-  /// Unblocks serve() from another thread: stops accepting and shuts the
-  /// read side of every active session so their loops end.  Idempotent.
+  /// Unblocks serve() from another thread: shuts the listener down (its
+  /// descriptor is closed by the destructor, once serve() has returned)
+  /// and the read side of every active session so their loops end.
+  /// Idempotent.
   void stop();
 
   SocketServerStats stats() const;

@@ -1,4 +1,4 @@
-// Tiny command-line flag parser for examples and bench binaries.
+// Tiny command-line flag parser for psk, the examples and the bench programs.
 //
 // Supports "--name=value" and boolean "--name" forms; everything else is a
 // positional argument.  Numeric getters validate the whole token and throw

@@ -1,7 +1,7 @@
 // ASCII table and bar-chart rendering for the benchmark harnesses.
 //
-// Every bench binary regenerates one of the paper's tables/figures as plain
-// text; these helpers keep the output layout consistent across binaries.
+// Every `psk figure` entry regenerates one of the paper's tables/figures as
+// plain text; these helpers keep the output layout consistent across them.
 #pragma once
 
 #include <cstddef>

@@ -19,24 +19,30 @@ std::string binary_dir() { return std::string(PSK_BUILD_DIR); }
 
 struct CommandResult {
   int exit_code = 0;
+  std::string stdout_text;
   std::string stderr_text;
 };
 
-/// Runs `command`, capturing stderr; stdout is discarded.  The capture file
-/// is unique per test process: ctest runs these concurrently.
-CommandResult run_command(const std::string& command) {
-  static int sequence = 0;
-  const std::string err_path = testing::TempDir() + "/cli_test_stderr_" +
-                               std::to_string(::getpid()) + "_" +
-                               std::to_string(sequence++) + ".txt";
-  const int status = std::system(
-      (command + " > /dev/null 2> " + err_path).c_str());
-  CommandResult result;
-  result.exit_code = status;
-  std::ifstream in(err_path);
+std::string read_file(const std::string& path) {
+  std::ifstream in(path);
   std::ostringstream text;
   text << in.rdbuf();
-  result.stderr_text = text.str();
+  return text.str();
+}
+
+/// Runs `command`, capturing stdout and stderr.  The capture files are
+/// unique per test process: ctest runs these concurrently.
+CommandResult run_command(const std::string& command) {
+  static int sequence = 0;
+  const std::string stem = testing::TempDir() + "/cli_test_" +
+                           std::to_string(::getpid()) + "_" +
+                           std::to_string(sequence++);
+  const int status = std::system(
+      (command + " > " + stem + ".out 2> " + stem + ".err").c_str());
+  CommandResult result;
+  result.exit_code = status;
+  result.stdout_text = read_file(stem + ".out");
+  result.stderr_text = read_file(stem + ".err");
   return result;
 }
 
@@ -68,7 +74,7 @@ TEST(CliHardening, PskRejectsTypoFlagListingValidOnes) {
 
 TEST(CliHardening, PskRejectsUnknownFlagOnEveryCommand) {
   for (const char* command :
-       {"apps", "scenarios", "run", "info", "report", "codegen"}) {
+       {"apps", "scenarios", "run", "info", "report", "codegen", "figure"}) {
     const CommandResult result =
         run_psk(std::string(command) + " --no-such-flag=1");
     EXPECT_NE(result.exit_code, 0) << command;
@@ -94,6 +100,44 @@ TEST(CliHardening, PskRejectsUnknownValidateModeListingValidOnes) {
               std::string::npos)
         << command << ": " << result.stderr_text;
     EXPECT_NE(result.stderr_text.find("bogus"), std::string::npos) << command;
+  }
+}
+
+TEST(CliHardening, PskRejectsNegativeJobsOnEveryExperimentCommand) {
+  // One check in the shared flag path: each command fails at parse time
+  // with the configuration exit code, before any simulation.
+  for (const char* command :
+       {"predict --app=MG", "report --out=/dev/null", "figure fig4"}) {
+    const CommandResult result =
+        run_psk(std::string(command) + " --jobs=-1");
+    ASSERT_TRUE(WIFEXITED(result.exit_code)) << command;
+    EXPECT_EQ(WEXITSTATUS(result.exit_code), 1) << command;
+    EXPECT_NE(result.stderr_text.find("--jobs must be >= 0"),
+              std::string::npos)
+        << command << ": " << result.stderr_text;
+  }
+}
+
+TEST(CliHardening, PskFigureRejectsUnknownNameListingEntries) {
+  const CommandResult result = run_psk("figure fig3 fig9 --class=S");
+  ASSERT_TRUE(WIFEXITED(result.exit_code));
+  EXPECT_EQ(WEXITSTATUS(result.exit_code), 1);
+  EXPECT_NE(result.stderr_text.find("unknown figure 'fig9'"),
+            std::string::npos)
+      << result.stderr_text;
+  for (const char* name : {"fig2", "fig7", "ablate_flutter", "ext_memory"}) {
+    EXPECT_NE(result.stderr_text.find(name), std::string::npos) << name;
+  }
+  // Names are checked before anything runs: fig3 printed nothing.
+  EXPECT_EQ(result.stdout_text, "");
+}
+
+TEST(CliHardening, PskFigureWithoutNamesListsEntries) {
+  const CommandResult result = run_psk("figure");
+  EXPECT_EQ(result.exit_code, 0);
+  for (const char* name : {"fig2", "fig3", "fig4", "fig5", "fig6", "fig7",
+                           "ablate_eager_threshold", "ext_full_suite"}) {
+    EXPECT_NE(result.stdout_text.find(name), std::string::npos) << name;
   }
 }
 

@@ -1,20 +1,22 @@
-# Reruns a figure program and byte-compares its stdout with a checked-in
-# golden table (tests/golden/).  Usage:
-#   cmake -DPROGRAM=<exe> -DARGS=<a;b> -DGOLDEN=<file> -DOUT=<file>
+# Reruns a program and byte-compares its stdout with checked-in goldens
+# (tests/golden/), concatenated in order.  Usage:
+#   cmake -DPROGRAM=<exe> -DARGS=<a;b> -DGOLDEN=<file;...> -DOUT=<file>
 #         -P golden_test.cmake
-# A deliberate output change regenerates the golden with the same command
-# line and commits it alongside the change.
+# A deliberate output change regenerates the goldens with the same command
+# lines and commits them alongside the change.
 execute_process(COMMAND ${PROGRAM} ${ARGS}
                 OUTPUT_FILE ${OUT}
                 RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "${PROGRAM} exited with ${rc}")
 endif()
-execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files ${GOLDEN} ${OUT}
-                RESULT_VARIABLE differs)
-if(NOT differs EQUAL 0)
-  file(READ ${GOLDEN} expected)
-  file(READ ${OUT} actual)
+set(expected "")
+foreach(golden IN LISTS GOLDEN)
+  file(READ ${golden} text)
+  string(APPEND expected "${text}")
+endforeach()
+file(READ ${OUT} actual)
+if(NOT actual STREQUAL expected)
   message(FATAL_ERROR "output differs from ${GOLDEN}\n"
                       "--- expected\n${expected}\n--- actual\n${actual}")
 endif()

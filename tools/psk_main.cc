@@ -8,20 +8,21 @@
 //   psk codegen  --skeleton=lu.skel --out=lu_skeleton.c
 //   psk run      --skeleton=lu.skel [--scenario=cpu-one-node] [--seed=N]
 //   psk predict  --app=LU [--class=B] --target=2.0 [--scenario=...]
+//   psk report   --out=report.md [--class=B] [--apps=CG,MG]
+//   psk figure   [NAME...]                paper figures, ablations, extensions
 //   psk info     --trace=F | --signature=F | --skeleton=F
 //
 // Everything runs on the simulated testbed; the emitted C program is the
 // artifact for real clusters.
 #include <cstdio>
 #include <fstream>
-#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
 
 #include "apps/nas.h"
-#include "cache/cache.h"
 #include "codegen/emit_c.h"
+#include "core/cli_flags.h"
 #include "core/experiment.h"
 #include "core/framework.h"
 #include "guard/salvage.h"
@@ -34,6 +35,7 @@
 #include "skeleton/skeleton.h"
 #include "skeleton/validate.h"
 #include "svc/frame.h"
+#include "tools/figures.h"
 #include "trace/io.h"
 #include "trace/stats.h"
 #include "util/cli.h"
@@ -63,22 +65,30 @@ int usage() {
       "           [--phase-profile]\n"
       "  report   --out=F.md [--class=B] [--apps=CG,MG,...] [--jobs=N]\n"
       "           [--phase-profile]\n"
+      "  figure   [NAME...] [--class=B] [--sizes=10,5,...] [--jobs=N]\n"
+      "           [--verbose] [--trace-out=F.json] [--metrics-out=F]\n"
+      "           [--obs-scenario=S] [--phase-profile]\n"
+      "           runs the named paper figures (fig2..fig7), ablations\n"
+      "           and extensions in order on one shared driver; with no\n"
+      "           NAME, lists them\n"
       "  info     --trace=F | --signature=F | --skeleton=F\n"
       "--jobs=N runs the measurement grid on N worker threads (default: one\n"
-      "per hardware thread; 1 = serial; results are identical either way)\n"
-      "run/predict/report also accept --cache-dir=D (persistent\n"
+      "per hardware thread; 1 = serial; results are identical either way;\n"
+      "negative values are rejected)\n"
+      "run/predict/report/figure also accept --cache-dir=D (persistent\n"
       "content-addressed result cache shared across invocations),\n"
       "--cache-mem=N (in-memory LRU entries, default 4096), --no-cache\n"
       "(disable memoization entirely) and --cache-stats[=F] (key=value\n"
-      "hit/miss counters to stderr or file F).  Results are bit-identical\n"
-      "with the cache on, off, cold or warm.\n"
+      "hit/miss counters to stderr or file F, never stdout).  Results are\n"
+      "bit-identical with the cache on, off, cold or warm.\n"
       "--trace-out writes a Chrome trace_event JSON timeline of the\n"
       "instrumented run (open in chrome://tracing or Perfetto);\n"
       "--metrics-out writes a flat key=value metrics dump.  Both come from a\n"
       "dedicated serial fixed-seed run, so they are byte-identical for any\n"
       "--jobs value.  --phase-profile prints wall-clock pipeline phase\n"
       "timings to stderr.\n"
-      "run/predict/report accept --topology=crossbar|fattree:<down,up>|\n"
+      "run/predict/report/figure accept\n"
+      "--topology=crossbar|fattree:<down,up>|\n"
       "dragonfly:<groups,routers> to pick the interconnect (default\n"
       "crossbar, the paper's testbed; hierarchical topologies use the\n"
       "incremental flow core that scales to thousands of ranks).\n"
@@ -142,44 +152,6 @@ std::string require_flag(const util::Cli& cli, const std::string& name) {
   const std::string value = cli.get(name, "");
   util::require(!value.empty(), "missing required flag --" + name);
   return value;
-}
-
-/// Honours --topology on the commands that simulate: unknown specs throw
-/// ConfigError listing the valid forms (crossbar | fattree:<down,up> |
-/// dragonfly:<groups,routers>).  The default stays the paper's crossbar.
-void apply_topology(const util::Cli& cli, sim::ClusterConfig& cluster) {
-  const std::string spec = cli.get("topology", "");
-  if (!spec.empty()) cluster.topology = sim::TopologySpec::parse(spec);
-}
-
-/// Builds the result cache the --cache-* flags describe; null when the user
-/// passed --no-cache (call sites then run every simulation).
-std::shared_ptr<cache::ResultCache> cache_from_cli(const util::Cli& cli) {
-  if (cli.get_bool("no-cache", false)) return nullptr;
-  cache::CacheOptions options;
-  const std::int64_t entries = cli.get_int("cache-mem", 4096);
-  util::require(entries >= 0, "--cache-mem must be >= 0");
-  options.memory_entries = static_cast<std::size_t>(entries);
-  options.disk_dir = cli.get("cache-dir", "");
-  return std::make_shared<cache::ResultCache>(options);
-}
-
-/// Honours --cache-stats / --cache-stats=FILE.  The dump goes to stderr or
-/// a side file, never stdout, so cold and warm runs stay byte-identical on
-/// the primary output.
-void report_cache_stats(const util::Cli& cli,
-                        const cache::ResultCache* cache) {
-  const std::string where = cli.get("cache-stats", "");
-  if (where.empty() || cache == nullptr) return;
-  const std::string text = cache::stats_kv(cache->stats());
-  if (where == "true") {  // bare --cache-stats
-    std::fprintf(stderr, "%s", text.c_str());
-    return;
-  }
-  std::ofstream out(where);
-  util::require(out.good(), "--cache-stats: cannot open " + where);
-  out << text;
-  std::printf("cache stats -> %s\n", where.c_str());
 }
 
 int cmd_apps() {
@@ -275,13 +247,11 @@ int cmd_run(const util::Cli& cli) {
   const scenario::Scenario& scenario =
       scenario::find_scenario(cli.get("scenario", "dedicated"));
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 0));
-  const std::string trace_out = cli.get("trace-out", "");
-  const std::string metrics_out = cli.get("metrics-out", "");
-  const bool observed = !trace_out.empty() || !metrics_out.empty();
+  const core::ObsRequest obs = core::obs_from_cli(cli);
+  const bool observed = !obs.trace_out.empty() || !obs.metrics_out.empty();
 
-  core::FrameworkOptions framework_options;
-  framework_options.result_cache = cache_from_cli(cli);
-  apply_topology(cli, framework_options.cluster);
+  core::FrameworkOptions framework_options =
+      core::config_from_cli(cli).framework;
   // Follow the file, not the default world size: a salvaged skeleton may
   // have fewer ranks than it was built with and must still replay.
   framework_options.ranks = skeleton.rank_count();
@@ -291,29 +261,18 @@ int cmd_run(const util::Cli& cli) {
       skeleton, scenario, seed, {}, observed ? &recorder : nullptr);
   std::printf("skeleton '%s' under %s: %.3f s\n", skeleton.app_name.c_str(),
               scenario.name, elapsed);
-  report_cache_stats(cli, framework_options.result_cache.get());
-  if (!metrics_out.empty()) {
-    recorder.write_metrics_file(metrics_out, elapsed);
-    std::printf("metrics -> %s\n", metrics_out.c_str());
-  }
-  if (!trace_out.empty()) {
-    recorder.write_trace_file(trace_out, elapsed);
-    std::printf("trace -> %s (open in chrome://tracing)\n",
-                trace_out.c_str());
-  }
+  core::report_cache_stats(obs, framework_options.result_cache.get());
+  core::write_dumps(recorder, elapsed, obs);
   return 0;
 }
 
 int cmd_predict(const util::Cli& cli) {
   const ValidateMode mode = validate_mode(cli);
-  core::ExperimentConfig config;
+  core::ExperimentConfig config = core::config_from_cli(cli);
+  core::ObsRequest obs = core::obs_from_cli(cli);
   config.benchmarks = {require_flag(cli, "app")};
-  config.app_class = apps::class_from_name(cli.get("class", "B"));
   const double target = cli.get_double("target", 2.0);
   config.skeleton_sizes = {target};
-  config.jobs = static_cast<int>(cli.get_int("jobs", 0));
-  config.framework.result_cache = cache_from_cli(cli);
-  apply_topology(cli, config.framework.cluster);
   core::ExperimentDriver driver(config);
 
   const std::string which = cli.get("scenario", "");
@@ -338,45 +297,22 @@ int cmd_predict(const util::Cli& cli) {
                 record.good ? "" : "  [skeleton below good size]");
   }
 
-  const std::string trace_out = cli.get("trace-out", "");
-  const std::string metrics_out = cli.get("metrics-out", "");
-  if (!trace_out.empty() || !metrics_out.empty()) {
-    // A dedicated serial fixed-seed re-run of the full application under the
-    // first requested scenario, so the dump is identical for any --jobs.
-    obs::Recorder recorder;
-    const double elapsed = driver.observe_app(config.benchmarks[0],
-                                              *cells[0].scenario, recorder);
-    if (!metrics_out.empty()) {
-      recorder.write_metrics_file(metrics_out, elapsed);
-      std::printf("metrics -> %s\n", metrics_out.c_str());
-    }
-    if (!trace_out.empty()) {
-      recorder.write_trace_file(trace_out, elapsed);
-      std::printf("trace -> %s (open in chrome://tracing)\n",
-                  trace_out.c_str());
-    }
-  }
-  if (cli.get_bool("phase-profile", false)) {
-    std::fprintf(stderr, "%s", driver.phases().render().c_str());
-  }
-  report_cache_stats(cli, config.framework.result_cache.get());
+  // The dumps re-run the application under the first requested scenario.
+  obs.scenario = cells[0].scenario;
+  core::write_observability(driver, obs);
   return 0;
 }
 
 int cmd_report(const util::Cli& cli) {
   const ValidateMode mode = validate_mode(cli);
   const std::string out_path = require_flag(cli, "out");
-  core::ExperimentConfig config;
-  config.app_class = apps::class_from_name(cli.get("class", "B"));
+  core::ExperimentConfig config = core::config_from_cli(cli);
   if (cli.has("apps")) {
     config.benchmarks.clear();
     std::istringstream in(cli.get("apps", ""));
     std::string name;
     while (std::getline(in, name, ',')) config.benchmarks.push_back(name);
   }
-  config.jobs = static_cast<int>(cli.get_int("jobs", 0));
-  config.framework.result_cache = cache_from_cli(cli);
-  apply_topology(cli, config.framework.cluster);
   core::ExperimentDriver driver(config);
   for (const std::string& app : config.benchmarks) {
     check_app_trace(driver.app_trace(app), mode);
@@ -434,10 +370,7 @@ int cmd_report(const util::Cli& cli) {
       << "%**\n";
   out.close();
   std::printf("wrote %s\n", out_path.c_str());
-  if (cli.get_bool("phase-profile", false)) {
-    std::fprintf(stderr, "%s", driver.phases().render().c_str());
-  }
-  report_cache_stats(cli, config.framework.result_cache.get());
+  core::write_observability(driver, core::obs_from_cli(cli));
   return 0;
 }
 
@@ -530,23 +463,25 @@ int main(int argc, char** argv) {
       return cmd_codegen(cli);
     }
     if (command == "run") {
-      cli.require_known({"skeleton", "scenario", "seed", "validate",
-                         "trace-out", "metrics-out", "cache-dir", "cache-mem",
-                         "no-cache", "cache-stats", "topology"});
+      cli.require_known(core::simulation_flags(
+          {"skeleton", "scenario", "seed", "validate", "trace-out",
+           "metrics-out"}));
       return cmd_run(cli);
     }
     if (command == "predict") {
-      cli.require_known({"app", "class", "target", "scenario", "jobs",
-                         "validate", "trace-out", "metrics-out",
-                         "phase-profile", "cache-dir", "cache-mem", "no-cache",
-                         "cache-stats", "topology"});
+      cli.require_known(core::simulation_flags(
+          {"app", "class", "target", "scenario", "jobs", "validate",
+           "trace-out", "metrics-out", "phase-profile"}));
       return cmd_predict(cli);
     }
     if (command == "report") {
-      cli.require_known({"out", "class", "apps", "jobs", "validate",
-                         "phase-profile", "cache-dir", "cache-mem", "no-cache",
-                         "cache-stats", "topology"});
+      cli.require_known(core::simulation_flags(
+          {"out", "class", "apps", "jobs", "validate", "phase-profile"}));
       return cmd_report(cli);
+    }
+    if (command == "figure") {
+      cli.require_known(core::experiment_flags());
+      return figures::cmd_figure(cli);
     }
     if (command == "info") {
       cli.require_known({"trace", "signature", "skeleton"});
