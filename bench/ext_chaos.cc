@@ -327,7 +327,7 @@ SoakResult soak_one_seed(std::uint64_t seed, const std::string& profile_text,
       check(archive::fingerprint64(*bytes) == hash, seed, profile_text,
             "the store served bytes that fail their content hash");
     }
-    check(verify.stats().quarantined == 0 || !bytes.has_value() ||
+    check(verify.stats().verify_failures == 0 || !bytes.has_value() ||
               archive::fingerprint64(*bytes) == hash,
           seed, profile_text, "quarantine did not isolate corrupt entries");
   }

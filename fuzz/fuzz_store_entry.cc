@@ -1,55 +1,39 @@
-// libFuzzer harness for the durable skeleton-store entry codec
-// (svc/store.h, PSKS1 framing).
+// libFuzzer harness for the blob-store entry envelope (cache/blob_store.h,
+// PSKB1 framing) behind both the result cache and pskd's skeleton store.
 //
-// A store entry file is the one artifact pskd both writes and later
-// re-reads across restarts, so its decoder faces bytes that survived
-// crashes, torn writes and bit rot.  Invariants checked beyond "does not
-// crash":
-//   - anything decode_store_entry accepts satisfies the content-address
-//     invariant hash == fingerprint64(payload),
+// An entry file is the one artifact both stores write and later re-read
+// across restarts, so its decoder faces bytes that survived crashes, torn
+// writes and bit rot.  Invariants checked beyond "does not crash":
+//   - anything decode_entry accepts satisfies the hash invariant
+//     hash == entry_hash(key, value) (the key, or for a content-addressed
+//     entry with an empty key, the value),
 //   - accepted bytes are canonical: re-encoding the decoded entry
 //     reproduces the input exactly (there is only one valid encoding of
-//     a payload, so no mutation can alias another entry),
-//   - rejected bytes carry a typed error (Result-based API, no throws),
-//   - the quarantine diagnostic path (guard::salvage_skeleton_bytes over
-//     the damaged payload) never crashes on arbitrary input.
+//     an entry, so no mutation can alias another entry),
+//   - rejected bytes carry a typed error (Result-based API, no throws).
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
 #include <string>
 #include <string_view>
 
-#include "archive/wire.h"
-#include "guard/salvage.h"
-#include "svc/store.h"
+#include "cache/blob_store.h"
 #include "util/error.h"
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
   const std::string_view bytes(reinterpret_cast<const char*>(data), size);
   try {
-    psk::archive::Result<psk::svc::StoreEntry> decoded =
-        psk::svc::decode_store_entry(bytes);
+    psk::archive::Result<psk::cache::BlobEntry> decoded =
+        psk::cache::decode_entry(bytes);
     if (decoded.ok()) {
-      const psk::svc::StoreEntry& entry = decoded.value();
-      if (entry.hash != psk::archive::fingerprint64(entry.payload)) {
-        std::abort();  // content-address invariant violated
+      const psk::cache::BlobEntry& entry = decoded.value();
+      if (entry.hash != psk::cache::entry_hash(entry.key, entry.value)) {
+        std::abort();  // hash invariant violated
       }
-      const std::string reencoded =
-          psk::svc::encode_store_entry(entry.hash, entry.payload);
-      if (reencoded != bytes) {
+      if (psk::cache::encode_entry(entry.hash, entry.key, entry.value) !=
+          bytes) {
         std::abort();  // accepted bytes must be the canonical encoding
-      }
-    } else {
-      // The quarantine path: corrupt entries are inspected with the
-      // salvage decoder for the operator log.  The store runs this on
-      // whatever the disk returned, so it must hold up under arbitrary
-      // bytes.  The payload region is wherever the declared size points;
-      // feed the raw tail past the fixed header, clamped to the buffer.
-      if (bytes.size() > 17) {
-        psk::guard::SalvageReport report;
-        psk::guard::salvage_skeleton_bytes(
-            std::string(bytes.substr(17, bytes.size() - 17)), report);
       }
     }
   } catch (const psk::Error&) {

@@ -13,12 +13,13 @@
 
 #include "archive/archive.h"
 #include "archive/codec.h"
+#include "cache/blob_store.h"
+#include "cache/cache.h"
 #include "sig/io.h"
 #include "sig/signature.h"
 #include "skeleton/io.h"
 #include "skeleton/skeleton.h"
 #include "svc/frame.h"
-#include "svc/store.h"
 #include "trace/event.h"
 #include "trace/io.h"
 #include "util/error.h"
@@ -302,27 +303,35 @@ int main(int argc, char** argv) {
   write_file(root + "/svc_frame/empty.pskf", "");
 
   // ----------------------------------------------------- store entries
-  // The durable tier's on-disk framing (PSKS1): one valid entry, the
-  // classic crash shapes (truncation at each structural boundary), bit
-  // rot in the payload, and a checksum-consistent entry filed under the
-  // wrong hash (the content-address invariant must still reject it).
-  const std::string entry =
-      svc::encode_store_entry(archive::fingerprint64(skel_arch), skel_arch);
-  write_file(root + "/store_entry/valid.psks", entry);
-  write_file(root + "/store_entry/magic_only.psks", entry.substr(0, 5));
-  write_file(root + "/store_entry/header_only.psks", entry.substr(0, 17));
-  write_file(root + "/store_entry/torn_payload.psks",
+  // The blob stores' on-disk envelope (PSKB1): one result-cache entry
+  // (keyed, echoing its key) and one skeleton entry (content-addressed,
+  // empty key), the classic crash shapes (truncation at each structural
+  // boundary), bit rot in the value, and checksum-consistent entries filed
+  // under the wrong hash (the hash invariant must still reject them).
+  cache::KeyBuilder key_builder("sweep-cell/1");
+  key_builder.text("seed").text("cell");
+  const cache::CacheKey key = std::move(key_builder).finish();
+  const std::string cache_value = cache::encode_values({0.5, 2.25});
+  write_file(root + "/store_entry/cache_valid.pskb",
+             cache::encode_entry(key.hash, key.bytes, cache_value));
+  write_file(root + "/store_entry/cache_wrong_hash.pskb",
+             cache::encode_entry(key.hash ^ 1, key.bytes, cache_value));
+  const std::uint64_t skel_hash = archive::fingerprint64(skel_arch);
+  const std::string entry = cache::encode_entry(skel_hash, {}, skel_arch);
+  write_file(root + "/store_entry/valid.pskb", entry);
+  write_file(root + "/store_entry/magic_only.pskb", entry.substr(0, 5));
+  write_file(root + "/store_entry/header_only.pskb", entry.substr(0, 21));
+  write_file(root + "/store_entry/torn_payload.pskb",
              entry.substr(0, entry.size() * 2 / 3));
-  write_file(root + "/store_entry/missing_checksum.psks",
+  write_file(root + "/store_entry/missing_checksum.pskb",
              entry.substr(0, entry.size() - 8));
   std::string rotted = entry;
   rotted[entry.size() / 2] ^= 0x01;
-  write_file(root + "/store_entry/payload_bitrot.psks", rotted);
-  write_file(root + "/store_entry/wrong_hash.psks",
-             svc::encode_store_entry(archive::fingerprint64(skel_arch) ^ 1,
-                                     skel_arch));
-  write_file(root + "/store_entry/trailing_junk.psks", entry + "x");
-  write_file(root + "/store_entry/empty.psks", "");
+  write_file(root + "/store_entry/payload_bitrot.pskb", rotted);
+  write_file(root + "/store_entry/wrong_hash.pskb",
+             cache::encode_entry(skel_hash ^ 1, {}, skel_arch));
+  write_file(root + "/store_entry/trailing_junk.pskb", entry + "x");
+  write_file(root + "/store_entry/empty.pskb", "");
 
   std::printf("seed corpus written under %s\n", root.c_str());
   return 0;

@@ -1,9 +1,5 @@
 #include "archive/archive.h"
 
-#include <cstdio>
-#include <fstream>
-#include <sstream>
-
 #include "sig/io.h"
 #include "skeleton/io.h"
 #include "trace/io.h"
@@ -14,42 +10,6 @@ namespace {
 
 constexpr std::size_t kHeaderSize = 8 + 2 + 2 + 4 + 8;
 constexpr std::size_t kChecksumSize = 8;
-
-Result<std::string> read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Error{ErrorCode::kIo, "cannot open " + path + " for reading"};
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) {
-    return Error{ErrorCode::kIo, "read failure on " + path};
-  }
-  return buffer.str();
-}
-
-/// Writes `bytes` to `path` via a temp file + rename, so a crash mid-write
-/// never leaves a torn file at the destination.
-Status write_file_atomic(const std::string& path, std::string_view bytes) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      return Error{ErrorCode::kIo, "cannot open " + tmp + " for writing"};
-    }
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    out.flush();
-    if (!out) {
-      std::remove(tmp.c_str());
-      return Error{ErrorCode::kIo, "write failure on " + tmp};
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Error{ErrorCode::kIo, "cannot rename " + tmp + " to " + path};
-  }
-  return {};
-}
 
 template <typename T>
 Status save_as(const std::string& path, PayloadKind kind,
@@ -184,7 +144,7 @@ Result<trace::Trace> load_trace(const std::string& path) {
     return decode_trace(frame.value().payload, frame.value().payload_version);
   }
   if (frame.error().code != ErrorCode::kBadMagic) return frame.error();
-  // Versioned fallback: pre-archive text and binary trace files.
+  // Versioned fallback: pre-archive text trace files.
   return load_legacy(path, [](const std::string& p) {
     return trace::load_trace(p);
   });

@@ -13,9 +13,9 @@
 //   24      n     payload (canonical codec bytes)
 //   24+n    8     FNV-1a fingerprint of the payload
 //
-// Loaders keep the pre-archive formats as a versioned fallback: a file that
-// does not start with the archive magic is handed to the legacy text/binary
-// readers, so existing example files keep loading.  Errors are typed
+// Loaders keep the pre-archive text formats as a versioned fallback: a file
+// that does not start with the archive magic is handed to the text readers,
+// so existing example files keep loading.  Errors are typed
 // (Result<T>/Status); use .or_throw() where exceptions are preferred.
 #pragma once
 

@@ -1,7 +1,11 @@
 #include "archive/wire.h"
 
 #include <bit>
+#include <cerrno>
+#include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <sstream>
 
 namespace psk::archive {
 
@@ -167,6 +171,49 @@ std::string fingerprint_hex(std::uint64_t hash) {
     hash >>= 4;
   }
   return out;
+}
+
+std::optional<std::uint64_t> parse_fingerprint_hex(std::string_view text) {
+  if (text.size() != 16) return std::nullopt;
+  std::uint64_t hash = 0;
+  for (const char c : text) {
+    int digit;
+    if (c >= '0' && c <= '9') digit = c - '0';
+    else if (c >= 'a' && c <= 'f') digit = c - 'a' + 10;
+    else return std::nullopt;
+    hash = (hash << 4) | static_cast<std::uint64_t>(digit);
+  }
+  return hash;
+}
+
+Result<std::string> read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) {
+    return Error{ErrorCode::kIo, "cannot open " + path + " for reading"};
+  }
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  if (in.bad()) return Error{ErrorCode::kIo, "read failure on " + path};
+  return std::move(buffer).str();
+}
+
+Status write_file_atomic(const std::string& path, std::string_view bytes) {
+  const std::string tmp = path + ".tmp";
+  const auto io_error = [](const std::string& what) {
+    return Error{ErrorCode::kIo, what + " (" + std::strerror(errno) + ")"};
+  };
+  errno = 0;
+  std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+  if (!out) return io_error("cannot open " + tmp + " for writing");
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  out.close();
+  if (!out || std::rename(tmp.c_str(), path.c_str()) != 0) {
+    const Error error = io_error(out ? "cannot rename " + tmp + " to " + path
+                                     : "write failure on " + tmp);
+    std::remove(tmp.c_str());
+    return error;
+  }
+  return {};
 }
 
 }  // namespace psk::archive

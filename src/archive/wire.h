@@ -162,5 +162,17 @@ std::uint64_t fingerprint64(std::string_view bytes);
 
 /// Fixed-width lowercase hex rendering of a fingerprint (16 chars).
 std::string fingerprint_hex(std::uint64_t hash);
+/// Inverse of fingerprint_hex: nullopt unless `text` is 16 lowercase hex
+/// digits.
+std::optional<std::uint64_t> parse_fingerprint_hex(std::string_view text);
+
+// ------------------------------------------------------------------ files
+
+/// Reads a whole file; kIo when it cannot be opened or read.
+Result<std::string> read_file(const std::string& path);
+
+/// Writes `bytes` to `path` through `<path>.tmp` and a rename, so a crash
+/// mid-write never leaves a torn file at `path`.
+Status write_file_atomic(const std::string& path, std::string_view bytes);
 
 }  // namespace psk::archive

@@ -1,65 +1,9 @@
 #include "cache/cache.h"
 
-#include <cerrno>
-#include <cstdio>
-#include <cstring>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
-#include <system_error>
-
 #include "archive/wire.h"
 #include "obs/metrics.h"
-#include "util/log.h"
 
 namespace psk::cache {
-
-namespace {
-
-// On-disk entry layout (all integers little-endian):
-//   magic "PSKCACH1", u16 entry version, u32 key size, key bytes,
-//   u32 value size, value bytes, u64 FNV-1a over everything between the
-//   version field and the checksum.
-constexpr std::string_view kEntryMagic = "PSKCACH1";
-constexpr std::uint16_t kEntryVersion = 1;
-
-std::string encode_entry(const CacheKey& key, std::string_view value) {
-  std::string out;
-  out.reserve(kEntryMagic.size() + 2 + 4 + key.bytes.size() + 4 +
-              value.size() + 8);
-  out.append(kEntryMagic);
-  archive::put_u16(out, kEntryVersion);
-  archive::put_string(out, key.bytes);
-  archive::put_string(out, value);
-  archive::put_u64(out, archive::fingerprint64(
-                            std::string_view(out).substr(kEntryMagic.size())));
-  return out;
-}
-
-/// Decodes a disk entry, verifying framing, checksum and the echoed key.
-/// Returns the value, or nullopt with `*verify_failed = true` when the
-/// entry is torn/corrupt or echoes a different key (hash collision).
-std::optional<std::string> decode_entry(std::string_view bytes,
-                                        const CacheKey& key,
-                                        bool* verify_failed) {
-  *verify_failed = true;  // every early-out below is a verification failure
-  if (bytes.substr(0, kEntryMagic.size()) != kEntryMagic) return std::nullopt;
-  if (bytes.size() < kEntryMagic.size() + 8) return std::nullopt;
-  const std::string_view body =
-      bytes.substr(kEntryMagic.size(), bytes.size() - kEntryMagic.size() - 8);
-  archive::Cursor tail(bytes.substr(kEntryMagic.size() + body.size()));
-  if (tail.u64() != archive::fingerprint64(body)) return std::nullopt;
-  archive::Cursor in(body);
-  if (in.u16() != kEntryVersion) return std::nullopt;
-  const std::string echoed_key = in.string();
-  std::string value = in.string();
-  if (!in.ok() || !in.at_end()) return std::nullopt;
-  if (echoed_key != key.bytes) return std::nullopt;  // collision caught
-  *verify_failed = false;
-  return value;
-}
-
-}  // namespace
 
 // ------------------------------------------------------------ KeyBuilder
 
@@ -106,144 +50,30 @@ CacheKey KeyBuilder::finish() && {
 
 // ------------------------------------------------------------ ResultCache
 
-ResultCache::ResultCache(Options options) : options_(std::move(options)) {
-  if (!options_.disk_dir.empty()) {
-    std::error_code ec;
-    std::filesystem::create_directories(options_.disk_dir, ec);
-    if (ec) options_.disk_dir.clear();  // unusable directory: disk tier off
-  }
-}
-
-const ResultCache::Entry* ResultCache::find_in_memory(const CacheKey& key) {
-  auto it = index_.find(key.hash);
-  if (it == index_.end()) return nullptr;
-  if (it->second->key_bytes != key.bytes) {
-    ++stats_.verify_failures;  // 64-bit collision in the memory tier
-    return nullptr;
-  }
-  lru_.splice(lru_.begin(), lru_, it->second);  // promote to front
-  return &*it->second;
-}
-
-void ResultCache::insert_in_memory(const CacheKey& key,
-                                   std::string_view value) {
-  if (options_.memory_entries == 0) return;
-  auto it = index_.find(key.hash);
-  if (it != index_.end()) {
-    it->second->key_bytes = key.bytes;
-    it->second->value = std::string(value);
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return;
-  }
-  lru_.push_front(Entry{key.hash, key.bytes, std::string(value)});
-  index_.emplace(key.hash, lru_.begin());
-  while (lru_.size() > options_.memory_entries) {
-    index_.erase(lru_.back().hash);
-    lru_.pop_back();
-    ++stats_.evictions;
-  }
-}
-
-std::string ResultCache::entry_path(std::uint64_t hash) const {
-  return options_.disk_dir + "/" + archive::fingerprint_hex(hash) + ".pskc";
-}
-
-std::optional<std::string> ResultCache::read_disk(const CacheKey& key) {
-  std::ifstream in(entry_path(key.hash), std::ios::binary);
-  if (!in) return std::nullopt;  // plain miss: no entry on disk
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) return std::nullopt;
-  const std::string bytes = buffer.str();
-  bool verify_failed = false;
-  std::optional<std::string> value = decode_entry(bytes, key, &verify_failed);
-  if (verify_failed) ++stats_.verify_failures;
-  return value;
-}
-
-bool ResultCache::write_disk(const CacheKey& key, std::string_view value) {
-  const std::string path = entry_path(key.hash);
-  const std::string tmp = path + ".tmp";
-  const std::string bytes = encode_entry(key, value);
-  {
-    errno = 0;
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return false;
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    out.flush();
-    if (!out) {
-      const int write_errno = errno;  // keep the root cause, not remove()'s
-      std::remove(tmp.c_str());
-      errno = write_errno;
-      return false;
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    const int rename_errno = errno;
-    std::remove(tmp.c_str());
-    errno = rename_errno;
-    return false;
-  }
-  return true;
-}
-
-std::optional<std::string> ResultCache::lookup(const CacheKey& key) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++stats_.lookups;
-  if (const Entry* entry = find_in_memory(key)) {
-    ++stats_.hits;
-    return entry->value;
-  }
-  if (!options_.disk_dir.empty()) {
-    if (std::optional<std::string> value = read_disk(key)) {
-      ++stats_.disk_hits;
-      insert_in_memory(key, *value);  // promote for the next lookup
-      return value;
-    }
-  }
-  ++stats_.misses;
-  return std::nullopt;
-}
-
-void ResultCache::store(const CacheKey& key, std::string_view value) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++stats_.stores;
-  insert_in_memory(key, value);
-  if (options_.disk_dir.empty() || disk_writes_disabled_) return;
-  if (write_disk(key, value)) return;
-  // Mid-sweep disk trouble (ENOSPC, permissions revoked, dead mount) must
-  // not abort hours of measurements: degrade to memory-only, once, loudly.
-  // The disk tier stays readable -- entries already persisted keep hitting.
-  ++stats_.disk_write_failures;
-  disk_writes_disabled_ = true;
-  const int saved_errno = errno;
-  util::log_warn() << "cache: disk write to " << options_.disk_dir
-                   << " failed ("
-                   << (saved_errno != 0 ? std::strerror(saved_errno)
-                                        : "unknown error")
-                   << "); continuing memory-only";
-}
-
-CacheStats ResultCache::stats() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return stats_;
-}
+ResultCache::ResultCache(Options options)
+    : blob_([&] {
+        BlobOptions blob;
+        blob.memory_entries = options.memory_entries;
+        blob.disk_dir = std::move(options.disk_dir);
+        return blob;
+      }()) {}
 
 void ResultCache::publish(obs::MetricsRegistry& metrics) const {
   publish_stats(metrics, stats());
 }
 
 void publish_stats(obs::MetricsRegistry& metrics, const CacheStats& stats) {
-  metrics.counter("cache.lookup").add(static_cast<double>(stats.lookups));
-  metrics.counter("cache.hit").add(static_cast<double>(stats.hits));
-  metrics.counter("cache.disk_hit").add(static_cast<double>(stats.disk_hits));
-  metrics.counter("cache.miss").add(static_cast<double>(stats.misses));
-  metrics.counter("cache.store").add(static_cast<double>(stats.stores));
-  metrics.counter("cache.evict").add(static_cast<double>(stats.evictions));
-  metrics.counter("cache.verify_fail")
-      .add(static_cast<double>(stats.verify_failures));
-  metrics.counter("cache.disk_write_fail")
-      .add(static_cast<double>(stats.disk_write_failures));
+  static constexpr StatName kNames[] = {
+      {"cache.lookup", &BlobStats::lookups},
+      {"cache.hit", &BlobStats::hits},
+      {"cache.disk_hit", &BlobStats::disk_hits},
+      {"cache.miss", &BlobStats::misses},
+      {"cache.store", &BlobStats::inserted},
+      {"cache.evict", &BlobStats::evicted},
+      {"cache.verify_fail", &BlobStats::verify_failures},
+      {"cache.disk_write_fail", &BlobStats::disk_write_failures},
+  };
+  publish_stats(metrics, stats, kNames);
   metrics.counter("cache.hit_rate").add(stats.hit_rate());
 }
 

@@ -7,32 +7,23 @@
 // everything that determines the measurement (see cache/keys.h for the
 // domain builders), addressed by its 64-bit FNV-1a fingerprint.
 //
-// Two tiers:
-//   - a thread-safe in-memory LRU (capacity counted in entries), and
-//   - an optional on-disk store (one file per key under `disk_dir`).
-//
-// Both tiers echo the full key next to the value and verify it on every
-// lookup, so a 64-bit hash collision degrades to a miss (counted in
-// verify_failures), never to a wrong result.  Disk writes go through a
-// temp file + atomic rename: a crashed run cannot leave a torn entry, and
-// a torn/corrupt file found on disk is ignored as a miss.
+// ResultCache is the key policy over the two-tier BlobStore
+// (cache/blob_store.h): entries are filed under the key's hash and echo the
+// full key, so a 64-bit collision degrades to a miss (counted in
+// verify_failures), never to a wrong result.  It has no byte cap and no
+// disk cap.
 //
 // Values are opaque byte strings; encode_values()/decode_values() provide
 // the standard codec for the common double-vector payload.
 #pragma once
 
 #include <cstdint>
-#include <list>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
-namespace psk::obs {
-class MetricsRegistry;
-}
+#include "cache/blob_store.h"
 
 namespace psk::cache {
 
@@ -67,26 +58,7 @@ class KeyBuilder {
   std::string bytes_;
 };
 
-struct CacheStats {
-  std::uint64_t lookups = 0;
-  std::uint64_t hits = 0;            // served from the memory tier
-  std::uint64_t disk_hits = 0;       // served from disk (then promoted)
-  std::uint64_t misses = 0;
-  std::uint64_t stores = 0;
-  std::uint64_t evictions = 0;       // LRU entries dropped at capacity
-  std::uint64_t verify_failures = 0; // key-echo mismatch or corrupt entry
-  /// Disk-tier writes that failed (ENOSPC, EACCES, ...).  The first failure
-  /// disables further disk writes for this cache -- the sweep continues on
-  /// the memory tier alone -- so this is normally 0 or 1.
-  std::uint64_t disk_write_failures = 0;
-
-  std::uint64_t total_hits() const { return hits + disk_hits; }
-  double hit_rate() const {
-    return lookups == 0 ? 0.0
-                        : static_cast<double>(total_hits()) /
-                              static_cast<double>(lookups);
-  }
-};
+using CacheStats = BlobStats;
 
 struct CacheOptions {
   /// Memory-tier capacity in entries; 0 disables the memory tier.
@@ -102,49 +74,29 @@ class ResultCache {
   explicit ResultCache(Options options = {});
 
   /// Returns the cached value, or nullopt on miss.  Thread-safe.
-  std::optional<std::string> lookup(const CacheKey& key);
+  std::optional<std::string> lookup(const CacheKey& key) {
+    return blob_.get(key.hash, key.bytes);
+  }
 
-  /// Inserts/overwrites in both tiers.  Thread-safe.
-  void store(const CacheKey& key, std::string_view value);
+  /// Inserts in both tiers.  Thread-safe.
+  void store(const CacheKey& key, std::string_view value) {
+    blob_.put(key.hash, key.bytes, std::string(value));
+  }
 
-  CacheStats stats() const;
+  CacheStats stats() const { return blob_.stats(); }
 
-  /// Publishes the stats as obs counters (cache.hit, cache.disk_hit,
-  /// cache.miss, cache.store, cache.evict, cache.verify_fail,
-  /// cache.hit_rate).
+  /// Publishes the stats as obs counters (see publish_stats).
   void publish(obs::MetricsRegistry& metrics) const;
 
-  const Options& options() const { return options_; }
+  const BlobOptions& options() const { return blob_.options(); }
 
  private:
-  struct Entry {
-    std::uint64_t hash = 0;
-    std::string key_bytes;
-    std::string value;
-  };
-  using LruList = std::list<Entry>;
-
-  /// Memory-tier lookup; assumes lock held.  Promotes on hit.
-  const Entry* find_in_memory(const CacheKey& key);
-  void insert_in_memory(const CacheKey& key, std::string_view value);
-  std::string entry_path(std::uint64_t hash) const;
-  std::optional<std::string> read_disk(const CacheKey& key);
-  /// Returns false when the entry could not be persisted (disk full,
-  /// permissions revoked mid-run, ...).
-  bool write_disk(const CacheKey& key, std::string_view value);
-
-  Options options_;
-  mutable std::mutex mutex_;
-  LruList lru_;  // front = most recently used
-  std::unordered_map<std::uint64_t, LruList::iterator> index_;
-  CacheStats stats_;
-  /// Set after the first failed disk write: the disk tier stays readable
-  /// (existing entries keep hitting) but no further writes are attempted.
-  bool disk_writes_disabled_ = false;
+  BlobStore blob_;
 };
 
-/// Publishes a stats snapshot into a registry (same counters as
-/// ResultCache::publish).
+/// Publishes a stats snapshot into a registry: cache.lookup, cache.hit,
+/// cache.disk_hit, cache.miss, cache.store, cache.evict, cache.verify_fail,
+/// cache.disk_write_fail and cache.hit_rate.
 void publish_stats(obs::MetricsRegistry& metrics, const CacheStats& stats);
 
 /// Deterministic key=value rendering of the stats (the obs counter dump),

@@ -374,12 +374,6 @@ std::optional<trace::Trace> salvage_trace_damaged(const std::string& bytes,
     report.recovered = true;
     return partial.take();
   }
-  if (bytes.rfind("PSKTRB01", 0) == 0) {
-    // The legacy binary format has host-endian fields and no framing to
-    // resynchronize on; a truncated file is not salvageable.  Archives are.
-    report.detail = "truncated legacy binary trace (re-save as archive)";
-    return std::nullopt;
-  }
   std::optional<trace::Trace> trace = salvage_trace_text(bytes, report);
   report.recovered = trace.has_value();
   return trace;

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <fstream>
 #include <mutex>
+#include <optional>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "archive/wire.h"
 #include "cache/cache.h"
@@ -20,8 +22,7 @@ namespace {
 // The leading field is the 16-hex-digit content hash of (domain, key) --
 // the canonical cell identity, so replay matches cells by hash no matter
 // how the grid was ordered when the journal was written; the echoed key
-// guards against hash collisions.  Pre-hash journals carry three fields
-// (no hash); replay still accepts them, matching by key string.
+// guards against hash collisions.
 // Keys and payloads are escaped (backslash, tab, newline), so a literal TAB
 // only ever separates fields and a literal NEWLINE only ever ends a record.
 // A line without its trailing newline -- the process died mid-append -- is
@@ -93,22 +94,8 @@ bool parse_line(const std::string& line, std::string& key,
   return true;
 }
 
-bool parse_hash(const std::string& field, std::uint64_t& hash) {
-  if (field.size() != 16) return false;
-  hash = 0;
-  for (const char c : field) {
-    int digit;
-    if (c >= '0' && c <= '9') digit = c - '0';
-    else if (c >= 'a' && c <= 'f') digit = c - 'a' + 10;
-    else return false;
-    hash = (hash << 4) | static_cast<std::uint64_t>(digit);
-  }
-  return true;
-}
-
 void replay(const std::string& path, const std::vector<std::string>& keys,
             const std::unordered_map<std::uint64_t, std::size_t>& hash_index,
-            const std::unordered_map<std::string, std::size_t>& index_of,
             std::vector<CellResult>& results, std::vector<char>& have,
             JournalReplayStats& stats) {
   std::ifstream in(path);
@@ -122,42 +109,28 @@ void replay(const std::string& path, const std::vector<std::string>& keys,
       stats.torn_tail = 1;
       break;
     }
-    // Escaping guarantees raw TABs only separate fields, so the field count
-    // tells the format apart: 4 fields = hash-keyed, 3 = pre-hash legacy.
-    const auto tabs = std::count(line.begin(), line.end(), '\t');
+    // Escaping guarantees raw TABs only separate fields, so a record has
+    // exactly four: hash, key, status and payload.
+    const std::size_t tab1 = line.find('\t');
+    const std::optional<std::uint64_t> hash =
+        archive::parse_fingerprint_hex(line.substr(0, tab1));
     std::string key;
     CellResult result;
-    std::size_t index = 0;
-    bool parsed = false;
-    bool matched = false;
-    if (tabs == 3) {
-      const std::size_t tab1 = line.find('\t');
-      std::uint64_t hash = 0;
-      if (parse_hash(line.substr(0, tab1), hash) &&
-          parse_line(line.substr(tab1 + 1), key, result)) {
-        parsed = true;
-        const auto it = hash_index.find(hash);
-        // The echoed key must agree: a hash matching a different key is a
-        // collision and the record cannot be trusted.
-        matched = it != hash_index.end() && keys[it->second] == key;
-        if (matched) index = it->second;
-      }
-    } else if (tabs == 2 && parse_line(line, key, result)) {
-      parsed = true;
-      const auto it = index_of.find(key);
-      matched = it != index_of.end();
-      if (matched) index = it->second;
+    if (std::count(line.begin(), line.end(), '\t') != 3 || !hash ||
+        !parse_line(line.substr(tab1 + 1), key, result)) {
+      ++stats.dropped_unparsable;  // a damaged line: re-run the cell
+      continue;
     }
-    if (!matched) {
-      // A journal from a different grid (or a damaged line): don't trust
-      // it blindly, re-run the cell instead.
-      if (parsed) ++stats.dropped_unknown;
-      else ++stats.dropped_unparsable;
+    // The echoed key must agree: a hash matching a different key is a
+    // collision and the record cannot be trusted.
+    const auto it = hash_index.find(*hash);
+    if (it == hash_index.end() || keys[it->second] != key) {
+      ++stats.dropped_unknown;  // a journal from a different grid
       continue;
     }
     ++stats.replayed;
-    results[index] = std::move(result);
-    have[index] = 1;
+    results[it->second] = std::move(result);
+    have[it->second] = 1;
   }
   if (stats.dropped() > 0) {
     util::log_warn() << "journal " << path << ": " << stats.render();
@@ -196,10 +169,10 @@ std::vector<CellResult> journaled_sweep(
     const std::vector<std::string>& keys,
     const std::function<std::string(std::size_t)>& body,
     const JournaledSweepOptions& options) {
-  std::unordered_map<std::string, std::size_t> index_of;
-  index_of.reserve(keys.size());
+  std::unordered_set<std::string> seen;
+  seen.reserve(keys.size());
   for (std::size_t i = 0; i < keys.size(); ++i) {
-    util::require(index_of.emplace(keys[i], i).second,
+    util::require(seen.insert(keys[i]).second,
                   "journaled_sweep: duplicate cell key: " + keys[i]);
   }
   // Canonical cell identities: content hashes of (domain, key).
@@ -216,7 +189,7 @@ std::vector<CellResult> journaled_sweep(
   std::vector<char> have(keys.size(), 0);
   JournalReplayStats replay_stats;
   if (options.resume && !options.journal_path.empty()) {
-    replay(options.journal_path, keys, hash_index, index_of, results, have,
+    replay(options.journal_path, keys, hash_index, results, have,
            replay_stats);
   }
   if (options.replay_stats != nullptr) *options.replay_stats = replay_stats;

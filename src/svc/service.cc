@@ -641,30 +641,7 @@ void Service::publish(obs::MetricsRegistry& metrics) const {
       .add(static_cast<double>(stats_.workers_replaced));
   metrics.counter("svc.supervisor.late_results_discarded")
       .add(static_cast<double>(stats_.late_results_discarded));
-  const StoreStats store = store_.stats();
-  metrics.counter("svc.store.inserted")
-      .add(static_cast<double>(store.inserted));
-  metrics.counter("svc.store.refreshed")
-      .add(static_cast<double>(store.refreshed));
-  metrics.counter("svc.store.hits").add(static_cast<double>(store.hits));
-  metrics.counter("svc.store.misses").add(static_cast<double>(store.misses));
-  metrics.counter("svc.store.evicted").add(static_cast<double>(store.evicted));
-  metrics.counter("svc.store.entries").add(static_cast<double>(store.entries));
-  metrics.counter("svc.store.bytes").add(static_cast<double>(store.bytes));
-  metrics.counter("svc.store.disk_hits")
-      .add(static_cast<double>(store.disk_hits));
-  metrics.counter("svc.store.disk_write_fail")
-      .add(static_cast<double>(store.disk_write_fail));
-  metrics.counter("svc.store.disk_evicted")
-      .add(static_cast<double>(store.disk_evicted));
-  metrics.counter("svc.store.quarantined")
-      .add(static_cast<double>(store.quarantined));
-  metrics.counter("svc.store.restored")
-      .add(static_cast<double>(store.restored));
-  metrics.counter("svc.store.disk_entries")
-      .add(static_cast<double>(store.disk_entries));
-  metrics.counter("svc.store.disk_bytes")
-      .add(static_cast<double>(store.disk_bytes));
+  store_.publish(metrics);
   if (options_.chaos) {
     const ChaosStats chaos = options_.chaos->stats();
     for (std::size_t site = 0; site < kChaosSiteCount; ++site) {

@@ -80,9 +80,10 @@ struct ServiceOptions {
   /// Recover the usable prefix of an unparseable strict upload instead of
   /// rejecting it (the response is marked degraded).
   bool salvage_fallback = true;
-  /// Bounds on the hot-skeleton store (svc/store.h): entry count and total
-  /// retained canonical bytes.  0 entries disables retention; predict-by-
-  /// hash then always answers kNotFound.
+  /// Bounds on the hot-skeleton store's memory tier (svc/store.h): entry
+  /// count and total retained canonical bytes.  0 entries disables the
+  /// memory tier only; without `store_dir`, predict-by-hash then always
+  /// answers kNotFound.
   std::size_t skeleton_store_entries = 256;
   std::size_t skeleton_store_bytes = 256u << 20;
   /// Durable tier for the skeleton store (pskd --store-dir); empty keeps

@@ -1,337 +1,52 @@
 #include "svc/store.h"
 
-#include <algorithm>
-#include <cerrno>
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <utility>
-#include <vector>
 
-#include "guard/salvage.h"
-#include "util/log.h"
+#include "archive/wire.h"
 
 namespace psk::svc {
 
-namespace {
-
-using archive::Error;
-using archive::ErrorCode;
-
-constexpr std::size_t kEntryHeaderSize = 5 + 8 + 4;  // magic + hash + size
-constexpr std::size_t kEntryChecksumSize = 8;
-
-std::optional<std::string> read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  if (!in.good() && !in.eof()) return std::nullopt;
-  return bytes;
-}
-
-}  // namespace
-
-std::string encode_store_entry(std::uint64_t hash, std::string_view payload) {
-  std::string out;
-  out.reserve(kEntryHeaderSize + payload.size() + kEntryChecksumSize);
-  out.append(kStoreEntryMagic);
-  archive::put_u64(out, hash);
-  archive::put_u32(out, static_cast<std::uint32_t>(payload.size()));
-  out.append(payload);
-  archive::put_u64(out, archive::fingerprint64(out));
-  return out;
-}
-
-archive::Result<StoreEntry> decode_store_entry(std::string_view bytes) {
-  if (bytes.size() < kEntryHeaderSize + kEntryChecksumSize) {
-    return Error{ErrorCode::kTruncated,
-                 "store entry of " + std::to_string(bytes.size()) +
-                     " byte(s) is shorter than its fixed framing"};
-  }
-  if (bytes.substr(0, kStoreEntryMagic.size()) != kStoreEntryMagic) {
-    return Error{ErrorCode::kBadMagic, "not a PSKS1 store entry"};
-  }
-  archive::Cursor header(bytes.substr(kStoreEntryMagic.size()));
-  StoreEntry entry;
-  entry.hash = header.u64();
-  const std::uint32_t declared = header.u32();
-  // Validate the declared size against the bytes actually present before
-  // allocating anything for the payload.
-  if (bytes.size() != kEntryHeaderSize + declared + kEntryChecksumSize) {
-    return Error{ErrorCode::kTruncated,
-                 "store entry declares " + std::to_string(declared) +
-                     " payload byte(s) but the file holds " +
-                     std::to_string(bytes.size()) + " total"};
-  }
-  const std::string_view body = bytes.substr(0, bytes.size() - kEntryChecksumSize);
-  archive::Cursor tail(bytes.substr(bytes.size() - kEntryChecksumSize));
-  if (tail.u64() != archive::fingerprint64(body)) {
-    return Error{ErrorCode::kCorrupt, "store entry checksum mismatch"};
-  }
-  entry.payload.assign(bytes.substr(kEntryHeaderSize, declared));
-  // The content-address invariant: the filed hash must BE the payload's
-  // fingerprint, or a lookup would serve bytes under the wrong name.
-  if (entry.hash != archive::fingerprint64(entry.payload)) {
-    return Error{ErrorCode::kCorrupt,
-                 "store entry hash does not match its payload fingerprint"};
-  }
-  return entry;
-}
-
 SkeletonStore::SkeletonStore(StoreOptions options)
-    : options_(std::move(options)) {
-  if (options_.capacity_entries == 0) options_.disk_dir.clear();
-  if (!options_.disk_dir.empty()) {
-    std::error_code ec;
-    std::filesystem::create_directories(options_.disk_dir, ec);
-    if (ec) {
-      util::log_warn() << "store: cannot create disk tier at "
-                       << options_.disk_dir << " (" << ec.message()
-                       << "); running memory-only";
-      options_.disk_dir.clear();
-    }
-  }
-  std::lock_guard<std::mutex> lock(mutex_);
-  restore_disk_index_locked();
-}
-
-SkeletonStore::SkeletonStore(std::size_t capacity_entries,
-                             std::size_t capacity_bytes)
-    : SkeletonStore([&] {
-        StoreOptions options;
-        options.capacity_entries = capacity_entries;
-        options.capacity_bytes = capacity_bytes;
-        return options;
-      }()) {}
-
-std::string SkeletonStore::entry_path(std::uint64_t hash) const {
-  if (options_.disk_dir.empty()) return "";
-  return options_.disk_dir + "/" + archive::fingerprint_hex(hash) + ".psks";
-}
-
-void SkeletonStore::restore_disk_index_locked() {
-  if (options_.disk_dir.empty()) return;
-  std::error_code ec;
-  std::vector<std::filesystem::path> files;
-  for (const auto& dir_entry :
-       std::filesystem::directory_iterator(options_.disk_dir, ec)) {
-    if (dir_entry.path().extension() == ".psks") {
-      files.push_back(dir_entry.path());
-    }
-  }
-  // Deterministic index order regardless of readdir order.
-  std::sort(files.begin(), files.end());
-  for (const auto& path : files) {
-    // Index from the header alone (magic + hash); full verification runs
-    // on first get(), before anything is served.
-    std::ifstream in(path, std::ios::binary);
-    std::string header(kEntryHeaderSize, '\0');
-    if (!in.read(header.data(), static_cast<std::streamsize>(header.size()))) {
-      continue;  // too short to ever verify; get() would miss anyway
-    }
-    if (std::string_view(header).substr(0, kStoreEntryMagic.size()) !=
-        kStoreEntryMagic) {
-      continue;
-    }
-    archive::Cursor cursor(std::string_view(header).substr(
-        kStoreEntryMagic.size()));
-    const std::uint64_t hash = cursor.u64();
-    std::error_code size_ec;
-    const auto size = std::filesystem::file_size(path, size_ec);
-    if (size_ec || disk_index_.count(hash) != 0) continue;
-    disk_index_.emplace(hash, static_cast<std::size_t>(size));
-    disk_order_.push_back(hash);
-    disk_position_.emplace(hash, std::prev(disk_order_.end()));
-    stats_.disk_bytes += static_cast<std::size_t>(size);
-    ++stats_.restored;
-  }
-  stats_.disk_entries = disk_index_.size();
-}
+    : blob_(cache::BlobOptions{
+          .memory_entries = options.capacity_entries,
+          .memory_bytes = options.capacity_bytes,
+          .disk_dir = std::move(options.disk_dir),
+          .disk_bytes = options.disk_capacity_bytes,
+          .write_fault = [chaos = options.chaos] {
+            if (chaos == nullptr) return cache::WriteFault::kNone;
+            if (chaos->fire(ChaosSite::kStoreWriteFail)) {
+              return cache::WriteFault::kFail;
+            }
+            return chaos->fire(ChaosSite::kStoreCorrupt)
+                       ? cache::WriteFault::kCorrupt
+                       : cache::WriteFault::kNone;
+          }}) {}
 
 std::uint64_t SkeletonStore::put(std::string bytes) {
   const std::uint64_t hash = archive::fingerprint64(bytes);
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (options_.capacity_entries == 0) {
-    // Retention disabled: the protocol still works, every predict-by-hash
-    // for this skeleton just answers kNotFound.
-    return hash;
-  }
-  if (const auto it = entries_.find(hash); it != entries_.end()) {
-    order_.splice(order_.begin(), order_, it->second.position);
-    ++stats_.refreshed;
-    return hash;
-  }
-  spill_locked(hash, bytes);
-  if (bytes.size() > options_.capacity_bytes) {
-    // Too large for the memory tier; the disk tier (when on) still holds
-    // it, so predict-by-hash keeps working at one file read per use.
-    return hash;
-  }
-  order_.push_front(hash);
-  stats_.bytes += bytes.size();
-  entries_.emplace(hash, Entry{std::move(bytes), order_.begin()});
-  ++stats_.inserted;
-  stats_.entries = entries_.size();
-  evict_to_fit_locked();
+  blob_.put(hash, {}, std::move(bytes));
   return hash;
 }
 
-void SkeletonStore::spill_locked(std::uint64_t hash, const std::string& bytes) {
-  if (options_.disk_dir.empty() || disk_index_.count(hash) != 0) return;
-  if (options_.chaos && options_.chaos->fire(ChaosSite::kStoreWriteFail)) {
-    // Simulated ENOSPC/EIO: the entry degrades to memory-only, counted,
-    // exactly like the real failure below.
-    ++stats_.disk_write_fail;
-    return;
-  }
-  std::string entry = encode_store_entry(hash, bytes);
-  if (options_.chaos && options_.chaos->fire(ChaosSite::kStoreCorrupt)) {
-    // Torn/corrupt write: flip one payload byte.  The checksum must catch
-    // this at read time and route the entry into quarantine.
-    entry[kEntryHeaderSize + entry.size() / 3] ^= 0x40;
-  }
-  const std::string path = entry_path(hash);
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out ||
-        !out.write(entry.data(), static_cast<std::streamsize>(entry.size())) ||
-        !out.flush()) {
-      out.close();
-      std::remove(tmp.c_str());
-      if (++stats_.disk_write_fail == 1) {
-        util::log_warn() << "store: disk write to " << options_.disk_dir
-                         << " failed; entry stays memory-only";
-      }
-      return;
-    }
-  }
-  // Atomic publish: the final name either holds a complete entry or does
-  // not exist.  A crash between write and rename leaves only a .tmp that
-  // the restart scan ignores.
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    ++stats_.disk_write_fail;
-    return;
-  }
-  disk_index_.emplace(hash, entry.size());
-  disk_order_.push_back(hash);
-  disk_position_.emplace(hash, std::prev(disk_order_.end()));
-  stats_.disk_bytes += entry.size();
-  stats_.disk_entries = disk_index_.size();
-  while (stats_.disk_bytes > options_.disk_capacity_bytes &&
-         !disk_order_.empty()) {
-    const std::uint64_t victim = disk_order_.front();
-    drop_disk_entry_locked(victim);
-    std::remove(entry_path(victim).c_str());
-    ++stats_.disk_evicted;
-  }
-}
-
-void SkeletonStore::drop_disk_entry_locked(std::uint64_t hash) {
-  const auto it = disk_index_.find(hash);
-  if (it == disk_index_.end()) return;
-  stats_.disk_bytes -= it->second;
-  disk_index_.erase(it);
-  const auto pos = disk_position_.find(hash);
-  if (pos != disk_position_.end()) {
-    disk_order_.erase(pos->second);
-    disk_position_.erase(pos);
-  }
-  stats_.disk_entries = disk_index_.size();
-}
-
-void SkeletonStore::quarantine_locked(std::uint64_t hash,
-                                      const std::string& reason) {
-  const std::string path = entry_path(hash);
-  // Keep the damaged bytes for triage under a name the index scan skips;
-  // if even the rename fails, remove the file so it cannot be re-read.
-  if (std::rename(path.c_str(), (path + ".quar").c_str()) != 0) {
-    std::remove(path.c_str());
-  }
-  drop_disk_entry_locked(hash);
-  ++stats_.quarantined;
-  util::log_warn() << "store: quarantined corrupt entry "
-                   << archive::fingerprint_hex(hash) << " (" << reason << ")";
-}
-
-std::optional<std::string> SkeletonStore::disk_get_locked(std::uint64_t hash) {
-  if (disk_index_.count(hash) == 0) return std::nullopt;
-  const std::string path = entry_path(hash);
-  std::optional<std::string> bytes = read_file(path);
-  if (!bytes) {
-    // The file vanished under us (operator cleanup); drop the index entry.
-    drop_disk_entry_locked(hash);
-    return std::nullopt;
-  }
-  archive::Result<StoreEntry> entry = decode_store_entry(*bytes);
-  if (!entry.ok()) {
-    // Verification failed: quarantine, never serve.  Salvage tells the
-    // operator whether the payload prefix was still a usable skeleton --
-    // diagnostic only, the answer to the client stays a miss either way.
-    std::string reason = entry.error().render();
-    if (bytes->size() > kEntryHeaderSize) {
-      guard::SalvageReport report;
-      const std::string payload_prefix = bytes->substr(kEntryHeaderSize);
-      if (guard::salvage_skeleton_bytes(payload_prefix, report)) {
-        reason += "; salvage would recover " +
-                  std::to_string(report.ranks_kept) + " of " +
-                  std::to_string(report.ranks_expected) + " rank(s)";
-      } else {
-        reason += "; salvage recovers nothing";
-      }
-    }
-    quarantine_locked(hash, reason);
-    return std::nullopt;
-  }
-  if (entry.value().hash != hash) {
-    quarantine_locked(hash, "entry filed under the wrong hash");
-    return std::nullopt;
-  }
-  return std::move(entry.value().payload);
-}
-
-std::optional<std::string> SkeletonStore::get(std::uint64_t hash) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (const auto it = entries_.find(hash); it != entries_.end()) {
-    order_.splice(order_.begin(), order_, it->second.position);
-    ++stats_.hits;
-    return it->second.bytes;
-  }
-  if (std::optional<std::string> payload = disk_get_locked(hash)) {
-    ++stats_.disk_hits;
-    // Promote back into the memory LRU so repeat traffic stays off disk.
-    if (options_.capacity_entries > 0 &&
-        payload->size() <= options_.capacity_bytes) {
-      order_.push_front(hash);
-      stats_.bytes += payload->size();
-      entries_.emplace(hash, Entry{*payload, order_.begin()});
-      stats_.entries = entries_.size();
-      evict_to_fit_locked();
-    }
-    return payload;
-  }
-  ++stats_.misses;
-  return std::nullopt;
-}
-
-StoreStats SkeletonStore::stats() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return stats_;
-}
-
-void SkeletonStore::evict_to_fit_locked() {
-  while (entries_.size() > options_.capacity_entries ||
-         stats_.bytes > options_.capacity_bytes) {
-    const std::uint64_t victim = order_.back();
-    order_.pop_back();
-    const auto it = entries_.find(victim);
-    stats_.bytes -= it->second.bytes.size();
-    entries_.erase(it);
-    ++stats_.evicted;
-  }
-  stats_.entries = entries_.size();
+void SkeletonStore::publish(obs::MetricsRegistry& metrics) const {
+  using S = cache::BlobStats;
+  static constexpr cache::StatName kNames[] = {
+      {"svc.store.inserted", &S::inserted},
+      {"svc.store.refreshed", &S::refreshed},
+      {"svc.store.hits", &S::hits},
+      {"svc.store.misses", &S::misses},
+      {"svc.store.evicted", &S::evicted},
+      {"svc.store.entries", &S::entries},
+      {"svc.store.bytes", &S::bytes},
+      {"svc.store.disk_hits", &S::disk_hits},
+      {"svc.store.disk_write_fail", &S::disk_write_failures},
+      {"svc.store.disk_evicted", &S::disk_evicted},
+      {"svc.store.quarantined", &S::verify_failures},
+      {"svc.store.restored", &S::restored},
+      {"svc.store.disk_entries", &S::disk_entries},
+      {"svc.store.disk_bytes", &S::disk_bytes},
+  };
+  cache::publish_stats(metrics, stats(), kNames);
 }
 
 }  // namespace psk::svc

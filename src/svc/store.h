@@ -7,154 +7,75 @@
 // instead of re-sending the container on every request, which is the
 // difference between a ~100-byte request and re-uploading megabytes.
 //
-// Two tiers:
-//   - Memory: a bounded LRU on two axes (entry count and total retained
-//     bytes), so a long-lived daemon cannot grow without limit.
-//   - Disk (optional, `StoreOptions::disk_dir`): every retained skeleton
-//     is also spilled to `<hash>.psks`, written atomically (tmp file +
-//     rename) so a crash can never leave a half-written entry under its
-//     final name.  On restart the directory is re-indexed and previously
-//     uploaded skeletons keep serving -- a daemon crash no longer turns
-//     into a kNotFound re-upload storm.
-//
-// Integrity contract: a disk entry is decoded and checksum-verified
-// (PSKS1 framing, see docs/FORMATS.md) before a single byte is served.  An
-// entry that fails verification is *quarantined* -- renamed to
-// `<hash>.psks.quar`, counted, inspected via guard::salvage_skeleton_bytes
-// for the operator log -- and the lookup misses.  The store never returns
-// bytes that fail their checksum.  Disk write failures (ENOSPC, EIO,
-// chaos-injected or real) are counted and degrade that entry to
-// memory-only; eviction from memory is silent and safe because a miss has
+// SkeletonStore is the content-address policy over the two-tier BlobStore
+// (cache/blob_store.h): entries have an empty key and are named by their
+// own bytes.  It adds a memory byte cap, a disk cap and the chaos hooks.
+// With `disk_dir` set, a restarted daemon keeps serving the skeletons it
+// spilled; a damaged entry is quarantined and the lookup misses, which has
 // an explicit protocol answer (StatusCode::kNotFound).
 #pragma once
 
 #include <cstdint>
-#include <list>
-#include <mutex>
 #include <optional>
 #include <string>
-#include <string_view>
-#include <unordered_map>
 
-#include "archive/wire.h"
+#include "cache/blob_store.h"
 #include "svc/chaos.h"
+
+namespace psk::obs {
+class MetricsRegistry;
+}
 
 namespace psk::svc {
 
-// ----------------------------------------------------- disk entry codec
-
-/// Magic of one on-disk store entry file (`<hash>.psks`).
-inline constexpr std::string_view kStoreEntryMagic = "PSKS1";
-
-/// A decoded disk entry: the content hash it was filed under and the
-/// canonical PSKARCH1 skeleton container bytes.
-struct StoreEntry {
-  std::uint64_t hash = 0;
-  std::string payload;
-};
-
-/// Encodes one entry: magic, hash, payload size, payload, then an FNV-1a
-/// fingerprint over everything before it.  `hash` must be
-/// archive::fingerprint64(payload) -- decode enforces it.
-std::string encode_store_entry(std::uint64_t hash, std::string_view payload);
-
-/// Decodes and fully verifies one entry: magic, declared size against the
-/// bytes actually present (before any allocation), file checksum, and the
-/// content-address invariant hash == fingerprint64(payload).  Any failure
-/// is a typed error -- callers quarantine, they never serve.
-archive::Result<StoreEntry> decode_store_entry(std::string_view bytes);
-
-// ----------------------------------------------------------------- store
-
-struct StoreStats {
-  std::uint64_t inserted = 0;   // puts that created a new entry
-  std::uint64_t refreshed = 0;  // puts that hit an existing entry
-  std::uint64_t hits = 0;       // memory-tier get hits
-  std::uint64_t misses = 0;     // gets both tiers missed
-  std::uint64_t evicted = 0;    // memory-tier evictions
-  std::size_t entries = 0;      // current memory entries
-  std::size_t bytes = 0;        // current retained canonical bytes (memory)
-  // Disk tier.
-  std::uint64_t disk_hits = 0;        // served after a memory miss
-  std::uint64_t disk_write_fail = 0;  // ENOSPC/EIO/...; entry memory-only
-  std::uint64_t disk_evicted = 0;     // disk-budget evictions (files removed)
-  std::uint64_t quarantined = 0;      // corrupt entries renamed, never served
-  std::uint64_t restored = 0;         // entries re-indexed at startup
-  std::size_t disk_entries = 0;       // current indexed disk entries
-  std::size_t disk_bytes = 0;         // current on-disk entry bytes
-};
+using StoreStats = cache::BlobStats;
 
 struct StoreOptions {
-  /// Memory-tier caps; `capacity_entries` == 0 disables retention entirely
-  /// (every put is dropped, every get misses, nothing touches disk).  A
-  /// single container larger than `capacity_bytes` skips the memory tier
+  /// Memory-tier caps; `capacity_entries` == 0 disables the memory tier
+  /// only.  A single container larger than `capacity_bytes` skips memory
   /// but still spills to disk.
   std::size_t capacity_entries = 256;
   std::size_t capacity_bytes = 256u << 20;
-  /// Durable tier directory; empty = memory-only (the PR 8 behaviour).
-  /// Created if missing; an uncreatable directory disables the tier with
-  /// one counted warning rather than failing the daemon.
+  /// Durable tier directory; empty = memory-only.  Created if missing; an
+  /// uncreatable directory disables the tier with a warning rather than
+  /// failing the daemon.
   std::string disk_dir;
-  /// Cap on total on-disk entry bytes; least-recently-indexed files are
+  /// Cap on total on-disk entry bytes; the oldest indexed files are
   /// removed past it.
   std::size_t disk_capacity_bytes = 1024u << 20;
-  /// Fault injection (null in production): store-write failures and
-  /// corruption-on-write come from here.
+  /// Fault injection (null in production): kStoreWriteFail, then
+  /// kStoreCorrupt, are consulted just before each disk write.
   ChaosSchedule* chaos = nullptr;
 };
 
 /// Thread-safe two-tier store of canonical skeleton container bytes, keyed
-/// by their content hash.  Both get() and put() count as a "use" for
-/// memory LRU ordering.
+/// by their content hash.
 class SkeletonStore {
  public:
   explicit SkeletonStore(StoreOptions options);
-  /// Memory-only convenience (the historical signature).
-  SkeletonStore(std::size_t capacity_entries, std::size_t capacity_bytes);
 
   /// Retains `bytes` under their content hash and returns that hash.
-  /// Evicts least-recently-used memory entries until both capacity axes
-  /// hold; spills to the disk tier when configured.
   std::uint64_t put(std::string bytes);
 
-  /// The retained canonical bytes for `hash`: memory tier first, then a
-  /// verified disk read (promoted back into memory on success); nullopt on
-  /// a miss (evicted, never uploaded, or quarantined).
-  std::optional<std::string> get(std::uint64_t hash);
+  /// The retained bytes for `hash`; nullopt on a miss (evicted, never
+  /// uploaded, or quarantined).
+  std::optional<std::string> get(std::uint64_t hash) {
+    return blob_.get(hash, {});
+  }
 
-  StoreStats stats() const;
-  const StoreOptions& options() const { return options_; }
+  StoreStats stats() const { return blob_.stats(); }
+
+  /// Publishes the stats as svc.store.* counters.
+  void publish(obs::MetricsRegistry& metrics) const;
 
   /// The disk path an entry for `hash` lives at (tests and the soak use it
   /// to damage entries on purpose); empty when the disk tier is off.
-  std::string entry_path(std::uint64_t hash) const;
+  std::string entry_path(std::uint64_t hash) const {
+    return blob_.entry_path(hash);
+  }
 
  private:
-  void evict_to_fit_locked();
-  void restore_disk_index_locked();
-  void spill_locked(std::uint64_t hash, const std::string& bytes);
-  std::optional<std::string> disk_get_locked(std::uint64_t hash);
-  void quarantine_locked(std::uint64_t hash, const std::string& reason);
-  void drop_disk_entry_locked(std::uint64_t hash);
-
-  StoreOptions options_;
-
-  mutable std::mutex mutex_;
-  /// Most-recently-used at the front.
-  std::list<std::uint64_t> order_;
-  struct Entry {
-    std::string bytes;
-    std::list<std::uint64_t>::iterator position;
-  };
-  std::unordered_map<std::uint64_t, Entry> entries_;
-  /// Disk index: hash -> on-disk entry file size.  Values are only served
-  /// after decode_store_entry verifies the bytes.
-  std::unordered_map<std::uint64_t, std::size_t> disk_index_;
-  /// Disk eviction order: least-recently-seen at the front.
-  std::list<std::uint64_t> disk_order_;
-  std::unordered_map<std::uint64_t, std::list<std::uint64_t>::iterator>
-      disk_position_;
-  StoreStats stats_;
+  cache::BlobStore blob_;
 };
 
 }  // namespace psk::svc

@@ -215,162 +215,7 @@ void save_trace(const std::string& path, const Trace& trace) {
 Trace load_trace(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   util::require(in.good(), "load_trace: cannot open " + path);
-  // Auto-detect: binary traces start with "PSKTRB01", text with
-  // "psk-trace 1".
-  char probe = '\0';
-  in.get(probe);
-  in.unget();
-  if (probe == 'P') return read_trace_binary(in);
   return read_trace(in);
-}
-
-}  // namespace psk::trace
-
-namespace psk::trace {
-
-namespace {
-
-constexpr char kBinaryMagic[8] = {'P', 'S', 'K', 'T', 'R', 'B', '0', '1'};
-
-template <typename T>
-void put(std::ostream& out, const T& value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-template <typename T>
-T get(std::istream& in) {
-  T value{};
-  in.read(reinterpret_cast<char*>(&value), sizeof(T));
-  if (!in.good()) throw FormatError("binary trace: truncated input");
-  return value;
-}
-
-void put_string(std::ostream& out, const std::string& text) {
-  put<std::uint32_t>(out, static_cast<std::uint32_t>(text.size()));
-  out.write(text.data(), static_cast<std::streamsize>(text.size()));
-}
-
-std::string get_string(std::istream& in) {
-  const auto size = get<std::uint32_t>(in);
-  if (size > (1u << 20)) throw FormatError("binary trace: string too long");
-  std::string text(size, '\0');
-  in.read(text.data(), size);
-  if (!in.good()) throw FormatError("binary trace: truncated string");
-  return text;
-}
-
-void put_event(std::ostream& out, const TraceEvent& event) {
-  put<std::uint8_t>(out, static_cast<std::uint8_t>(event.type));
-  put<std::int32_t>(out, event.peer);
-  put<std::uint64_t>(out, event.bytes);
-  put<std::int32_t>(out, event.tag);
-  put<double>(out, event.t_start);
-  put<double>(out, event.t_end);
-  put<double>(out, event.pre_compute);
-  put<double>(out, event.interior_compute);
-  put<double>(out, event.pre_mem_bytes);
-  put<double>(out, event.interior_mem_bytes);
-  put<std::uint32_t>(out, static_cast<std::uint32_t>(event.parts.size()));
-  for (const mpi::PeerBytes& part : event.parts) {
-    put<std::int32_t>(out, part.peer);
-    put<std::uint64_t>(out, part.bytes);
-    put<std::uint8_t>(out, part.outgoing ? 1 : 0);
-    put<std::int32_t>(out, part.tag);
-  }
-  put<std::uint32_t>(out, event.request);
-  put<std::uint32_t>(out, static_cast<std::uint32_t>(event.requests.size()));
-  for (std::uint32_t id : event.requests) put<std::uint32_t>(out, id);
-}
-
-TraceEvent get_event(std::istream& in) {
-  TraceEvent event;
-  const auto raw_type = get<std::uint8_t>(in);
-  // Validate through the name table so corrupt bytes fail loudly.
-  event.type = mpi::call_type_from_name(
-      mpi::call_type_name(static_cast<mpi::CallType>(raw_type)));
-  event.peer = get<std::int32_t>(in);
-  event.bytes = get<std::uint64_t>(in);
-  event.tag = get<std::int32_t>(in);
-  event.t_start = get<double>(in);
-  event.t_end = get<double>(in);
-  event.pre_compute = get<double>(in);
-  event.interior_compute = get<double>(in);
-  event.pre_mem_bytes = get<double>(in);
-  event.interior_mem_bytes = get<double>(in);
-  const auto parts = get<std::uint32_t>(in);
-  if (parts > (1u << 20)) throw FormatError("binary trace: too many parts");
-  event.parts.reserve(std::min<std::size_t>(parts, kReserveCap));
-  for (std::uint32_t i = 0; i < parts; ++i) {
-    mpi::PeerBytes part;
-    part.peer = get<std::int32_t>(in);
-    part.bytes = get<std::uint64_t>(in);
-    part.outgoing = get<std::uint8_t>(in) != 0;
-    part.tag = get<std::int32_t>(in);
-    event.parts.push_back(part);
-  }
-  event.request = get<std::uint32_t>(in);
-  const auto requests = get<std::uint32_t>(in);
-  if (requests > (1u << 20)) {
-    throw FormatError("binary trace: too many requests");
-  }
-  event.requests.reserve(std::min<std::size_t>(requests, kReserveCap));
-  for (std::uint32_t i = 0; i < requests; ++i) {
-    event.requests.push_back(get<std::uint32_t>(in));
-  }
-  return event;
-}
-
-}  // namespace
-
-void write_trace_binary(std::ostream& out, const Trace& trace) {
-  out.write(kBinaryMagic, sizeof(kBinaryMagic));
-  put_string(out, trace.app_name);
-  put<std::uint32_t>(out, static_cast<std::uint32_t>(trace.ranks.size()));
-  for (const RankTrace& rank : trace.ranks) {
-    put<std::int32_t>(out, rank.rank);
-    put<double>(out, rank.total_time);
-    put<double>(out, rank.final_compute);
-    put<std::uint64_t>(out, rank.events.size());
-    for (const TraceEvent& event : rank.events) put_event(out, event);
-  }
-}
-
-Trace read_trace_binary(std::istream& in) {
-  char magic[sizeof(kBinaryMagic)] = {};
-  in.read(magic, sizeof(magic));
-  if (!in.good() ||
-      !std::equal(std::begin(magic), std::end(magic), kBinaryMagic)) {
-    throw FormatError("binary trace: bad magic");
-  }
-  Trace trace;
-  trace.app_name = get_string(in);
-  const auto rank_count = get<std::uint32_t>(in);
-  if (rank_count > (1u << 16)) {
-    throw FormatError("binary trace: implausible rank count");
-  }
-  for (std::uint32_t r = 0; r < rank_count; ++r) {
-    RankTrace rank;
-    rank.rank = get<std::int32_t>(in);
-    rank.total_time = get<double>(in);
-    rank.final_compute = get<double>(in);
-    const auto events = get<std::uint64_t>(in);
-    if (events > (1ull << 32)) {
-      throw FormatError("binary trace: implausible event count");
-    }
-    rank.events.reserve(
-        std::min(static_cast<std::size_t>(events), kReserveCap));
-    for (std::uint64_t e = 0; e < events; ++e) {
-      rank.events.push_back(get_event(in));
-    }
-    trace.ranks.push_back(std::move(rank));
-  }
-  return trace;
-}
-
-void save_trace_binary(const std::string& path, const Trace& trace) {
-  std::ofstream out(path, std::ios::binary);
-  util::require(out.good(), "save_trace_binary: cannot open " + path);
-  write_trace_binary(out, trace);
 }
 
 }  // namespace psk::trace

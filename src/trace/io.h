@@ -23,14 +23,10 @@ Trace trace_from_string(const std::string& text);
 /// line by line to keep every event up to the first unparsable one.
 TraceEvent parse_trace_event_line(const std::string& line);
 
-/// File convenience wrappers.  load_trace auto-detects text vs binary.
+/// File convenience wrappers for the text format.  Compact files are
+/// PSKARCH1 archives (archive/archive.h), whose load_trace falls back to
+/// this one for text.
 void save_trace(const std::string& path, const Trace& trace);
 Trace load_trace(const std::string& path);
-
-/// Compact binary form (host endianness) for large traces: a class B LU
-/// trace shrinks ~6x and parses an order of magnitude faster.
-void write_trace_binary(std::ostream& out, const Trace& trace);
-Trace read_trace_binary(std::istream& in);
-void save_trace_binary(const std::string& path, const Trace& trace);
 
 }  // namespace psk::trace

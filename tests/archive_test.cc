@@ -197,13 +197,19 @@ TEST(Archive, LegacyTextTraceStillLoads) {
   std::remove(path.c_str());
 }
 
-TEST(Archive, LegacyBinaryTraceStillLoads) {
-  const trace::Trace original = sample_trace();
+TEST(Archive, LegacyBinaryTraceIsRefused) {
+  // The host-endian PSKTRB01 format is gone: such a file is neither an
+  // archive nor a text trace, and loading it is a typed error.
   const std::string path = temp_path("psk_legacy_bin.trace");
-  trace::save_trace_binary(path, original);  // pre-archive binary format
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << "PSKTRB01" << std::string(64, '\x01');
+  }
   const auto loaded = archive::load_trace(path);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded.value().event_count(), original.event_count());
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.error().code, archive::ErrorCode::kCorrupt);
+  EXPECT_NE(loaded.error().message.find("psk-trace"), std::string::npos)
+      << loaded.error().render();
   std::remove(path.c_str());
 }
 

@@ -1,6 +1,6 @@
 // Tests for the content-addressed result cache (psk::cache): key building,
 // cold->warm bit-identity, collision verification, LRU eviction order, the
-// on-disk tier, and torn-entry handling.
+// on-disk tier, torn-entry handling, and the blob store's tier policies.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -29,7 +29,7 @@ std::string fresh_dir(const char* name) {
 }
 
 std::string entry_file(const std::string& dir, const CacheKey& key) {
-  return dir + "/" + archive::fingerprint_hex(key.hash) + ".pskc";
+  return dir + "/" + archive::fingerprint_hex(key.hash) + ".pskb";
 }
 
 // ------------------------------------------------------------------- keys
@@ -102,7 +102,7 @@ TEST(ResultCache, ColdThenWarmIsBitIdentical) {
   EXPECT_EQ(stats.lookups, 2u);
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.stores, 1u);
+  EXPECT_EQ(stats.inserted, 1u);
   EXPECT_DOUBLE_EQ(stats.hit_rate(), 0.5);
 }
 
@@ -140,7 +140,7 @@ TEST(ResultCache, LruEvictsLeastRecentlyUsed) {
   // Touch "a" so "b" becomes the eviction candidate.
   EXPECT_TRUE(cache.lookup(key_of("a")).has_value());
   cache.store(key_of("c"), "C");
-  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_EQ(cache.stats().evicted, 1u);
   EXPECT_TRUE(cache.lookup(key_of("a")).has_value());
   EXPECT_FALSE(cache.lookup(key_of("b")).has_value());
   EXPECT_TRUE(cache.lookup(key_of("c")).has_value());
@@ -152,7 +152,7 @@ TEST(ResultCache, ZeroCapacityDisablesMemoryTier) {
   ResultCache cache(options);
   cache.store(key_of("a"), "A");
   EXPECT_FALSE(cache.lookup(key_of("a")).has_value());
-  EXPECT_EQ(cache.stats().evictions, 0u);
+  EXPECT_EQ(cache.stats().evicted, 0u);
 }
 
 // ------------------------------------------------------------------- disk
@@ -204,6 +204,9 @@ TEST(ResultCache, TornDiskEntryIsIgnoredAsMiss) {
   EXPECT_FALSE(reader.lookup(key).has_value());
   EXPECT_EQ(reader.stats().verify_failures, 1u);
   EXPECT_EQ(reader.stats().misses, 1u);
+  // The damaged file was quarantined, not left to fail again.
+  EXPECT_FALSE(std::filesystem::exists(path));
+  EXPECT_TRUE(std::filesystem::exists(path + ".quar"));
   // A store repairs the entry.
   reader.store(key, encode_values({7.0}));
   EXPECT_TRUE(reader.lookup(key).has_value());
@@ -254,6 +257,82 @@ TEST(ResultCache, UnusableDiskDirectoryDegradesToMemoryOnly) {
   EXPECT_TRUE(cache.options().disk_dir.empty());
   cache.store(key_of("a"), "A");
   EXPECT_TRUE(cache.lookup(key_of("a")).has_value());
+}
+
+TEST(BlobStore, WrongKeyDiskEntryIsQuarantinedNeverServed) {
+  const std::string dir = fresh_dir("psk_blob_wrong_key");
+  const CacheKey key = key_of("wanted");
+  const CacheKey other = key_of("other");
+  // A well-formed entry for `other`, copied to the file `key` is read from.
+  BlobOptions options;
+  options.disk_dir = dir;
+  {
+    BlobStore writer(options);
+    writer.put(other.hash, other.bytes, "value");
+  }
+  std::filesystem::copy_file(entry_file(dir, other), entry_file(dir, key));
+  BlobStore reader(options);
+  EXPECT_FALSE(reader.get(key.hash, key.bytes).has_value());
+  EXPECT_EQ(reader.stats().verify_failures, 1u);
+  EXPECT_EQ(reader.stats().misses, 1u);
+  EXPECT_TRUE(std::filesystem::exists(entry_file(dir, key) + ".quar"));
+  // The entry filed under its own name still serves.
+  EXPECT_EQ(reader.get(other.hash, other.bytes).value_or(""), "value");
+  std::filesystem::remove_all(dir);
+}
+
+TEST(BlobStore, ZeroEntryCapKeepsTheDiskTier) {
+  const std::string dir = fresh_dir("psk_blob_disk_only");
+  const CacheKey key = key_of("disk-only");
+  CacheOptions options;
+  options.memory_entries = 0;
+  options.disk_dir = dir;
+  ResultCache cache(options);
+  cache.store(key, "A");
+  EXPECT_EQ(cache.lookup(key).value_or(""), "A");
+  EXPECT_EQ(cache.lookup(key).value_or(""), "A");
+  const CacheStats stats = cache.stats();
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.disk_hits, 2u);
+  EXPECT_EQ(stats.entries, 0u);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(BlobStore, StoresSharingADirectorySeeEachOthersEntries) {
+  const std::string dir = fresh_dir("psk_blob_shared");
+  CacheOptions options;
+  options.disk_dir = dir;
+  ResultCache first(options);
+  ResultCache second(options);  // indexed the directory while it was empty
+  first.store(key_of("from-first"), "1");
+  EXPECT_EQ(second.lookup(key_of("from-first")).value_or(""), "1");
+  EXPECT_EQ(second.stats().disk_hits, 1u);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(BlobStore, DiskCapEvictsOldestFiles) {
+  const std::string dir = fresh_dir("psk_blob_disk_cap");
+  BlobOptions options;
+  options.memory_entries = 0;
+  options.disk_dir = dir;
+  const std::string value(100, 'v');
+  options.disk_bytes = 2 * encode_entry(0, {}, value).size();
+  BlobStore store(options);
+  std::vector<std::uint64_t> hashes;
+  for (const char c : {'a', 'b', 'c'}) {
+    const std::string bytes = std::string(100, c);
+    hashes.push_back(entry_hash({}, bytes));
+    store.put(hashes.back(), {}, bytes);
+  }
+  EXPECT_EQ(store.stats().disk_evicted, 1u);
+  EXPECT_EQ(store.stats().disk_entries, 2u);
+  EXPECT_FALSE(std::filesystem::exists(store.entry_path(hashes[0])));
+  EXPECT_FALSE(store.get(hashes[0], {}).has_value());
+  EXPECT_EQ(store.get(hashes[2], {}).value_or(""), std::string(100, 'c'));
+  // A new store indexes what is left by file name.
+  BlobStore reborn(options);
+  EXPECT_EQ(reborn.stats().restored, 2u);
+  std::filesystem::remove_all(dir);
 }
 
 // ------------------------------------------------------------------ stats

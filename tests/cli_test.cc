@@ -141,6 +141,37 @@ TEST(CliHardening, PskFigureWithoutNamesListsEntries) {
   }
 }
 
+TEST(CliHardening, PskFigureExtensionEntriesHonourTopology) {
+  // ext_oversubscription builds its own clusters; they take the
+  // --topology of the command line, so the class-S table changes.
+  const CommandResult result = run_psk(
+      "figure ext_oversubscription --class=S --topology=dragonfly:2,2");
+  ASSERT_TRUE(WIFEXITED(result.exit_code));
+  EXPECT_EQ(WEXITSTATUS(result.exit_code), 0) << result.stderr_text;
+  EXPECT_NE(result.stdout_text,
+            read_file(std::string(PSK_SOURCE_DIR) +
+                      "/tests/golden/ext_oversubscription_class_s.txt"));
+  EXPECT_NE(result.stdout_text.find("oversubscribed"), std::string::npos);
+}
+
+TEST(CliArchive, BinaryTraceFeedsCompress) {
+  // `psk trace --binary` writes a PSKARCH1 archive, and the commands that
+  // read traces load it through the archive loader.
+  const std::string stem = testing::TempDir() + "/cli_archive_" +
+                           std::to_string(::getpid());
+  const CommandResult traced = run_psk(
+      "trace --app=MG --class=S --binary --out=" + stem + ".trace");
+  ASSERT_EQ(traced.exit_code, 0) << traced.stderr_text;
+  EXPECT_EQ(read_file(stem + ".trace").substr(0, 8), "PSKARCH1");
+  const CommandResult compressed = run_psk(
+      "compress --trace=" + stem + ".trace --out=" + stem + ".sig");
+  ASSERT_EQ(compressed.exit_code, 0) << compressed.stderr_text;
+  EXPECT_NE(compressed.stdout_text.find("compressed MG"), std::string::npos)
+      << compressed.stdout_text;
+  std::remove((stem + ".trace").c_str());
+  std::remove((stem + ".sig").c_str());
+}
+
 TEST(CliHardening, BenchBinaryRejectsTypoFlag) {
   // --resum (for --resume) used to silently run a full non-resumed sweep.
   const CommandResult result =

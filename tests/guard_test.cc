@@ -443,24 +443,33 @@ TEST(CacheGuard, DiskWriteFailureDegradesToMemoryOnly) {
   cache::CacheOptions options;
   options.disk_dir = dir.file("cache");
   cache::ResultCache cache(options);
+  const auto path_of = [&](const cache::CacheKey& key) {
+    return options.disk_dir + "/" + archive::fingerprint_hex(key.hash) +
+           ".pskb";
+  };
+  // Make a key's temp-file path un-creatable even for root: a directory
+  // already occupies it, so ofstream(tmp, trunc) must fail.
+  const auto block = [&](const cache::CacheKey& key) {
+    fs::create_directories(path_of(key) + ".tmp");
+  };
   const cache::CacheKey key = cache::sweep_cell_key("guard-test/1", "cell");
-  // Make the temp-file path un-creatable even for root: a directory already
-  // occupies it, so ofstream(tmp, trunc) must fail.
-  const std::string tmp = options.disk_dir + "/" +
-                          archive::fingerprint_hex(key.hash) + ".pskc.tmp";
-  fs::create_directories(tmp);
+  block(key);
   cache.store(key, "payload");
   EXPECT_EQ(cache.stats().disk_write_failures, 1u);
+  EXPECT_FALSE(fs::exists(path_of(key)));
   // The value still lives in the memory tier.
   EXPECT_EQ(cache.lookup(key).value_or(""), "payload");
-  // Degradation is sticky and counted once: later stores skip the disk.
+  // The failure is per entry: the next store tries the disk again.
   const cache::CacheKey other = cache::sweep_cell_key("guard-test/1", "o");
   cache.store(other, "other");
   EXPECT_EQ(cache.stats().disk_write_failures, 1u);
-  EXPECT_EQ(cache.lookup(other).value_or(""), "other");
-  // Nothing landed on disk for the second key either.
-  EXPECT_FALSE(fs::exists(options.disk_dir + "/" +
-                          archive::fingerprint_hex(other.hash) + ".pskc"));
+  EXPECT_TRUE(fs::exists(path_of(other)));
+  // Every failure is counted.
+  const cache::CacheKey third = cache::sweep_cell_key("guard-test/1", "t");
+  block(third);
+  cache.store(third, "third");
+  EXPECT_EQ(cache.stats().disk_write_failures, 2u);
+  EXPECT_EQ(cache.lookup(third).value_or(""), "third");
 }
 
 TEST(CacheGuard, DiskWriteFailureCounterInObsDump) {

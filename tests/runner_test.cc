@@ -300,18 +300,20 @@ TEST(JournaledSweep, SharedCacheSkipsBodiesAcrossJournals) {
   EXPECT_EQ(other_calls.load(), static_cast<int>(keys.size()));
 }
 
-TEST(JournaledSweep, LegacyThreeFieldJournalStillReplays) {
-  // Journals written before the hash column (key TAB status TAB payload)
-  // must still resume: the replay falls back to matching by escaped key.
+TEST(JournaledSweep, LegacyThreeFieldLineIsUnparsable) {
+  // A line from before the hash column (key TAB status TAB payload) is not
+  // a record: replay drops it as unparsable and its cell runs again.
   const std::string path = testing::TempDir() + "psk_legacy.journal";
   {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out << "k1\tok\tpayload-one\n";
   }
   int calls = 0;
+  JournalReplayStats stats;
   JournaledSweepOptions resume;
   resume.journal_path = path;
   resume.resume = true;
+  resume.replay_stats = &stats;
   const std::vector<CellResult> results = journaled_sweep(
       {"k1", "k2"},
       [&](std::size_t i) {
@@ -319,8 +321,10 @@ TEST(JournaledSweep, LegacyThreeFieldJournalStillReplays) {
         return "computed-" + std::to_string(i);
       },
       resume);
-  EXPECT_EQ(calls, 1);  // only k2 ran
-  EXPECT_EQ(results[0].payload, "payload-one");
+  EXPECT_EQ(calls, 2);  // k1 ran again
+  EXPECT_EQ(stats.replayed, 0u);
+  EXPECT_EQ(stats.dropped_unparsable, 1u);
+  EXPECT_EQ(results[0].payload, "computed-0");
   EXPECT_EQ(results[1].payload, "computed-1");
   std::remove(path.c_str());
 }

@@ -27,6 +27,7 @@
 #include "archive/archive.h"
 #include "archive/codec.h"
 #include "archive/wire.h"
+#include "cache/blob_store.h"
 #include "core/framework.h"
 #include "obs/metrics.h"
 #include "svc/chaos.h"
@@ -122,6 +123,14 @@ std::string store_dir(const std::string& tag) {
   static int sequence = 0;
   return testing::TempDir() + "/svc_store_" + tag + "_" +
          std::to_string(::getpid()) + "_" + std::to_string(sequence++);
+}
+
+/// A memory-only store with the given caps.
+svc::StoreOptions memory_store(std::size_t entries, std::size_t bytes) {
+  svc::StoreOptions options;
+  options.capacity_entries = entries;
+  options.capacity_bytes = bytes;
+  return options;
 }
 
 // ------------------------------------------------------------------ frame
@@ -432,7 +441,7 @@ TEST(SvcReservoir, SeededReplacementIsDeterministic) {
 // ------------------------------------------------------------------ store
 
 TEST(SvcStore, ContentAddressedPutAndGet) {
-  svc::SkeletonStore store(4, 1 << 20);
+  svc::SkeletonStore store(memory_store(4, 1 << 20));
   const std::uint64_t hash = store.put("skeleton bytes");
   EXPECT_EQ(hash, archive::fingerprint64("skeleton bytes"));
   EXPECT_EQ(store.put("skeleton bytes"), hash);  // idempotent
@@ -450,7 +459,7 @@ TEST(SvcStore, ContentAddressedPutAndGet) {
 }
 
 TEST(SvcStore, EvictsLeastRecentlyUsedOnEntryCap) {
-  svc::SkeletonStore store(2, 1 << 20);
+  svc::SkeletonStore store(memory_store(2, 1 << 20));
   const std::uint64_t a = store.put("aaaa");
   const std::uint64_t b = store.put("bbbb");
   ASSERT_TRUE(store.get(a).has_value());  // a is now most recently used
@@ -463,7 +472,7 @@ TEST(SvcStore, EvictsLeastRecentlyUsedOnEntryCap) {
 }
 
 TEST(SvcStore, ByteCapAndUnretainableEntries) {
-  svc::SkeletonStore store(16, 10);
+  svc::SkeletonStore store(memory_store(16, 10));
   const std::uint64_t a = store.put("12345678");  // 8 of 10 bytes
   const std::uint64_t b = store.put("4444");      // evicts a to fit
   EXPECT_FALSE(store.get(a).has_value());
@@ -476,8 +485,9 @@ TEST(SvcStore, ByteCapAndUnretainableEntries) {
   EXPECT_FALSE(store.get(big).has_value());
   EXPECT_TRUE(store.get(b).has_value());
 
-  // Zero entries disables retention entirely.
-  svc::SkeletonStore off(0, 1 << 20);
+  // Zero entries disables the memory tier; with no disk tier nothing is
+  // retained.
+  svc::SkeletonStore off(memory_store(0, 1 << 20));
   EXPECT_FALSE(off.get(off.put("bytes")).has_value());
 }
 
@@ -1336,34 +1346,40 @@ TEST(SvcChaos, ProfileParsingPresetsAndKnobs) {
 // ------------------------------------------------------------- disk store
 
 TEST(SvcStoreEntry, CodecRoundTripsAndRejectsDamage) {
+  // A skeleton entry is content-addressed: empty key, named by its bytes.
   const std::string payload = skeleton_upload();
   const std::uint64_t hash = archive::fingerprint64(payload);
-  const std::string entry = svc::encode_store_entry(hash, payload);
+  const std::string entry = cache::encode_entry(hash, {}, payload);
 
-  archive::Result<svc::StoreEntry> decoded = svc::decode_store_entry(entry);
+  archive::Result<cache::BlobEntry> decoded = cache::decode_entry(entry);
   ASSERT_TRUE(decoded.ok()) << decoded.error().render();
   EXPECT_EQ(decoded.value().hash, hash);
-  EXPECT_EQ(decoded.value().payload, payload);
+  EXPECT_EQ(decoded.value().key, "");
+  EXPECT_EQ(decoded.value().value, payload);
 
   // Truncation at any of the structural boundaries is rejected.
   for (const std::size_t keep :
        {std::size_t{0}, std::size_t{3}, std::size_t{12}, entry.size() - 1}) {
-    EXPECT_FALSE(svc::decode_store_entry(entry.substr(0, keep)).ok()) << keep;
+    EXPECT_FALSE(cache::decode_entry(entry.substr(0, keep)).ok()) << keep;
   }
   // A flipped byte anywhere fails the checksum (or magic/size checks).
   for (const std::size_t at :
        {std::size_t{0}, std::size_t{7}, entry.size() / 2, entry.size() - 2}) {
     std::string damaged = entry;
     damaged[at] = static_cast<char>(damaged[at] ^ 0x20);
-    EXPECT_FALSE(svc::decode_store_entry(damaged).ok()) << at;
+    EXPECT_FALSE(cache::decode_entry(damaged).ok()) << at;
   }
   // An entry filed under the wrong hash violates content addressing even
   // when its checksum is internally consistent.
   EXPECT_FALSE(
-      svc::decode_store_entry(svc::encode_store_entry(hash ^ 1, payload))
-          .ok());
+      cache::decode_entry(cache::encode_entry(hash ^ 1, {}, payload)).ok());
+  // A keyed entry is named by its key, not by its value.
+  EXPECT_TRUE(cache::decode_entry(cache::encode_entry(
+                                      archive::fingerprint64("k"), "k", payload))
+                  .ok());
+  EXPECT_FALSE(cache::decode_entry(cache::encode_entry(hash, "k", payload)).ok());
   // Trailing bytes after the checksum are rejected.
-  EXPECT_FALSE(svc::decode_store_entry(entry + "x").ok());
+  EXPECT_FALSE(cache::decode_entry(entry + "x").ok());
 }
 
 TEST(SvcStore, DiskTierSurvivesRestart) {
@@ -1417,12 +1433,12 @@ TEST(SvcStore, CorruptDiskEntryIsQuarantinedNeverServed) {
   // quarantined for triage, and a second lookup does not double-count.
   EXPECT_FALSE(reborn.get(hash).has_value());
   svc::StoreStats stats = reborn.stats();
-  EXPECT_EQ(stats.quarantined, 1u);
+  EXPECT_EQ(stats.verify_failures, 1u);
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_FALSE(std::ifstream(path).good());           // gone from its name
   EXPECT_TRUE(std::ifstream(path + ".quar").good());  // kept for triage
   EXPECT_FALSE(reborn.get(hash).has_value());
-  EXPECT_EQ(reborn.stats().quarantined, 1u);
+  EXPECT_EQ(reborn.stats().verify_failures, 1u);
 }
 
 TEST(SvcStore, ChaosWriteFailureDegradesToMemoryOnly) {
@@ -1437,7 +1453,7 @@ TEST(SvcStore, ChaosWriteFailureDegradesToMemoryOnly) {
     svc::SkeletonStore store(options);
     hash = store.put(skeleton_upload());
     const svc::StoreStats stats = store.stats();
-    EXPECT_EQ(stats.disk_write_fail, 1u);
+    EXPECT_EQ(stats.disk_write_failures, 1u);
     EXPECT_EQ(stats.disk_entries, 0u);
     // The entry still serves from memory in this incarnation.
     EXPECT_TRUE(store.get(hash).has_value());
@@ -1464,9 +1480,9 @@ TEST(SvcStore, ChaosCorruptionOnWriteIsCaughtAtRead) {
   }
   options.chaos = nullptr;
   svc::SkeletonStore reborn(options);
-  EXPECT_EQ(reborn.stats().restored, 1u);  // indexed by header at startup...
+  EXPECT_EQ(reborn.stats().restored, 1u);  // indexed by name at startup...
   EXPECT_FALSE(reborn.get(hash).has_value());  // ...but never served
-  EXPECT_EQ(reborn.stats().quarantined, 1u);
+  EXPECT_EQ(reborn.stats().verify_failures, 1u);
 }
 
 // ------------------------------------------------- chaos through the service

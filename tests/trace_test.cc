@@ -428,52 +428,6 @@ TEST(Io, FileRoundTrip) {
   expect_traces_equal(original, loaded);
 }
 
-TEST(Io, BinaryRoundTripPreservesEverything) {
-  const Trace original = sample_trace();
-  const std::string path = testing::TempDir() + "/psk_trace_test.tbin";
-  save_trace_binary(path, original);
-  const Trace loaded = load_trace(path);  // auto-detects binary
-  expect_traces_equal(original, loaded);
-}
-
-TEST(Io, BinaryIsSmallerThanText) {
-  sim::Machine machine(test_cluster(4));
-  mpi::World world(machine, 4, no_overhead_mpi());
-  const Trace trace = record_run(
-      world,
-      [](mpi::Comm& comm) -> sim::Task {
-        for (int i = 0; i < 200; ++i) {
-          co_await comm.compute(0.001);
-          co_await comm.allreduce(64);
-        }
-      },
-      "size-compare");
-  const std::string dir = testing::TempDir();
-  save_trace(dir + "/t.trace", trace);
-  save_trace_binary(dir + "/t.tbin", trace);
-  std::ifstream text(dir + "/t.trace", std::ios::ate | std::ios::binary);
-  std::ifstream binary(dir + "/t.tbin", std::ios::ate | std::ios::binary);
-  EXPECT_LT(binary.tellg(), text.tellg());
-}
-
-TEST(Io, BinaryRejectsCorruptMagic) {
-  const std::string path = testing::TempDir() + "/psk_corrupt.tbin";
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << "PSKTRXX_garbage";
-  }
-  EXPECT_THROW(load_trace(path), psk::FormatError);
-}
-
-TEST(Io, BinaryRejectsTruncation) {
-  const Trace original = sample_trace();
-  std::ostringstream buffer;
-  write_trace_binary(buffer, original);
-  const std::string bytes = buffer.str();
-  std::istringstream truncated(bytes.substr(0, bytes.size() / 2));
-  EXPECT_THROW(read_trace_binary(truncated), psk::FormatError);
-}
-
 TEST(Io, RecordedRunRoundTrips) {
   sim::Machine machine(test_cluster(2));
   mpi::World world(machine, 2, no_overhead_mpi());

@@ -651,6 +651,7 @@ void ext_oversubscription(const Context& ctx) {
   const auto run_on_nodes = [&](const mpi::RankMain& program, int nodes,
                                 std::uint64_t seed) {
     sim::ClusterConfig cluster = sim::ClusterConfig::paper_testbed(nodes);
+    cluster.topology = config.framework.cluster.topology;
     cluster.seed = seed;
     cluster.cpu_jitter = 0.02;
     cluster.net_jitter = 0.02;
@@ -664,7 +665,7 @@ void ext_oversubscription(const Context& ctx) {
   util::Table table({"app", "nodes", "skeleton s", "predicted", "actual",
                      "err%"});
   for (const char* app : {"SP", "CG", "MG"}) {
-    core::SkeletonFramework framework;
+    core::SkeletonFramework framework(config.framework);
     const mpi::RankMain program =
         apps::find_benchmark(app).make(config.app_class);
     const trace::Trace trace = framework.record(program, app);
@@ -757,7 +758,7 @@ void ext_duration_distribution(const Context& ctx) {
   util::Table table({"app", "replay", "cpu-one-node err%",
                      "cpu-and-net err%"});
   for (const char* app : {"SP", "CG", "LU"}) {
-    core::SkeletonFramework framework;
+    core::SkeletonFramework framework(config.framework);
     const mpi::RankMain program =
         apps::find_benchmark(app).make(config.app_class);
     const trace::Trace trace = framework.record(program, app);
@@ -814,6 +815,7 @@ void ext_coscheduled(const Context& ctx) {
   // One core per node: co-located ranks of the two jobs time-slice it.
   core::CoscheduleConfig cos;
   cos.cluster = sim::ClusterConfig::paper_testbed();
+  cos.cluster.topology = config.framework.cluster.topology;
   cos.cluster.cores_per_node = 1;
   cos.cluster.cpu_jitter = 0.02;
   cos.cluster.net_jitter = 0.02;
@@ -822,7 +824,7 @@ void ext_coscheduled(const Context& ctx) {
   util::Table table({"primary", "competitor", "actual s", "share-based",
                      "err%", "skeleton", "err%"});
   for (const char* primary_name : {"CG", "MG", "IS"}) {
-    core::SkeletonFramework framework;
+    core::SkeletonFramework framework(config.framework);
     const mpi::RankMain primary =
         apps::find_benchmark(primary_name).make(config.app_class);
     const trace::Trace trace = framework.record(primary, primary_name);
@@ -965,7 +967,7 @@ void ext_memory(const Context& ctx) {
                      "mem-aware err%", "mem-less err%"});
   // MG and CG are memory-bound; EP is cache-resident.
   for (const char* name : {"MG", "CG", "EP"}) {
-    core::SkeletonFramework framework;
+    core::SkeletonFramework framework(config.framework);
     const mpi::RankMain program =
         apps::find_benchmark(name).make(config.app_class);
     const trace::Trace trace = framework.record(program, name);
@@ -1006,10 +1008,9 @@ void ext_memory(const Context& ctx) {
 
 // ---------------------------------------------------------------- registry
 
-// Titles and descriptions are printed with %s, so "%%" appears as is.
 constexpr Figure kFigures[] = {
     {"fig2", "Figure 2",
-     "Compute%% / MPI%% for each application and its skeletons", fig2},
+     "Compute% / MPI% for each application and its skeletons", fig2},
     {"fig3", "Figure 3",
      "Prediction error per benchmark x skeleton size, averaged over the "
      "five sharing scenarios",

@@ -21,6 +21,7 @@
 #include <string>
 
 #include "apps/nas.h"
+#include "archive/archive.h"
 #include "codegen/emit_c.h"
 #include "core/cli_flags.h"
 #include "core/experiment.h"
@@ -185,7 +186,7 @@ int cmd_trace(const util::Cli& cli) {
   const trace::Trace trace =
       framework.record(apps::find_benchmark(app).make(cls), app);
   if (cli.get_bool("binary", false)) {
-    trace::save_trace_binary(out, trace);
+    archive::save(out, trace).or_throw();
   } else {
     trace::save_trace(out, trace);
   }
@@ -196,7 +197,8 @@ int cmd_trace(const util::Cli& cli) {
 }
 
 int cmd_compress(const util::Cli& cli) {
-  const trace::Trace trace = trace::load_trace(require_flag(cli, "trace"));
+  const trace::Trace trace =
+      archive::load_trace(require_flag(cli, "trace")).or_throw();
   const std::string out = require_flag(cli, "out");
   sig::CompressOptions options;
   options.target_ratio = cli.get_double("target-ratio", 30.0);
@@ -210,7 +212,8 @@ int cmd_compress(const util::Cli& cli) {
 }
 
 int cmd_skeleton(const util::Cli& cli) {
-  const trace::Trace trace = trace::load_trace(require_flag(cli, "trace"));
+  const trace::Trace trace =
+      archive::load_trace(require_flag(cli, "trace")).or_throw();
   const double target = cli.get_double("target", 1.0);
   const std::string out = require_flag(cli, "out");
 
@@ -376,7 +379,8 @@ int cmd_report(const util::Cli& cli) {
 
 int cmd_info(const util::Cli& cli) {
   if (cli.has("trace")) {
-    const trace::Trace trace = trace::load_trace(cli.get("trace", ""));
+    const trace::Trace trace =
+        archive::load_trace(cli.get("trace", "")).or_throw();
     std::printf("trace of '%s': %d ranks, %zu events, %.3f s elapsed\n",
                 trace.app_name.c_str(), trace.rank_count(),
                 trace.event_count(), trace.elapsed());

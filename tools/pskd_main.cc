@@ -224,8 +224,8 @@ void print_shutdown_summary(const svc::Service& service,
                "%llu evicted, %llu restored, %llu quarantined, "
                "%llu disk write failure(s)\n",
                u(store.hits), u(store.disk_hits), u(store.misses),
-               u(store.evicted), u(store.restored), u(store.quarantined),
-               u(store.disk_write_fail));
+               u(store.evicted), u(store.restored), u(store.verify_failures),
+               u(store.disk_write_failures));
   const svc::ServiceStats stats = service.stats();
   if (stats.hung_detected != 0 || stats.workers_replaced != 0 ||
       stats.late_results_discarded != 0) {
