@@ -45,6 +45,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <mutex>
@@ -212,6 +213,18 @@ SoakResult soak_one_seed(std::uint64_t seed, const std::string& profile_text,
   svc::ListenAddress address;
   address.kind = svc::ListenAddress::Kind::kUnix;
   address.path = store_dir + ".sock";
+  // Declared before every daemon and store of the soak, so it runs after
+  // they are gone and after the survivor check read the directory, on
+  // success and on a SoakFailure alike.
+  struct RemoveOnExit {
+    const svc::ListenAddress& address;
+    const std::string& store_dir;
+    ~RemoveOnExit() {
+      std::error_code ignored;
+      std::filesystem::remove(address.path, ignored);
+      std::filesystem::remove_all(store_dir, ignored);
+    }
+  } remove_on_exit{address, store_dir};
 
   auto daemon = std::make_unique<Daemon>(address, store_dir, &chaos);
   std::vector<svc::ServiceStats> incarnations;

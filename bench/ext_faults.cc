@@ -134,7 +134,6 @@ int main(int argc, char** argv) {
       }
     }
   }
-  driver.warm(cells);  // serial construction; measurement fans out below
 
   std::vector<std::string> keys;
   keys.reserve(cells.size());

@@ -1,6 +1,7 @@
 #include "core/experiment.h"
 
 #include <cmath>
+#include <functional>
 #include <set>
 #include <utility>
 
@@ -14,13 +15,19 @@
 namespace psk::core {
 
 namespace {
-/// Sizes and Ks are cached by a fixed-point key (microsecond resolution).
+/// Sizes and Ks are memoized by a fixed-point key (microsecond resolution).
 long long size_key(double value) {
   return static_cast<long long>(std::llround(value * 1e6));
 }
-}  // namespace
 
-namespace {
+/// Seed offset of a skeleton measurement run: one stream per size and
+/// repetition.
+std::uint64_t skeleton_seed_offset(double size_seconds, int repetition) {
+  return 1 +
+         static_cast<std::uint64_t>(std::llabs(size_key(size_seconds)) % 97) +
+         static_cast<std::uint64_t>(repetition) * 31;
+}
+
 /// Injects the driver's profiler unless the caller supplied one; returns
 /// the options for the framework member initializer.
 core::FrameworkOptions& ensure_profiler(core::FrameworkOptions& options,
@@ -39,37 +46,28 @@ mpi::RankMain ExperimentDriver::program(const std::string& app,
   return apps::find_benchmark(app).make(cls);
 }
 
-const trace::Trace& ExperimentDriver::app_trace(const std::string& app) {
-  auto it = traces_.find(app);
-  if (it == traces_.end()) {
-    util::log_info() << "tracing " << app << " (class "
-                     << apps::class_name(config_.app_class) << ")";
-    it = traces_
-             .emplace(app,
-                      framework_.record(program(app, config_.app_class), app))
-             .first;
-  }
-  return it->second;
-}
-
-double ExperimentDriver::compute_app_time(const std::string& app,
-                                          const scenario::Scenario& scenario,
-                                          int repetition) const {
-  obs::PhaseProfiler::Scope scope(framework_.options().profiler, "measure");
-  const std::uint64_t seed_offset =
-      static_cast<std::uint64_t>(repetition) * 13;
+double ExperimentDriver::run_app(const std::string& app, apps::NasClass cls,
+                                 const scenario::Scenario& scenario,
+                                 std::uint64_t seed_offset) const {
   const auto execute = [&] {
-    return framework_.run_app(program(app, config_.app_class), scenario,
-                              seed_offset);
+    return framework_.run_app(program(app, cls), scenario, seed_offset);
   };
   cache::ResultCache* cache = framework_.options().result_cache.get();
   if (cache == nullptr) return execute();
   // The (benchmark, NAS class) pair identifies the workload: app programs
   // are deterministic generators of their inputs.
   const cache::CacheKey key =
-      cache::app_run_key(app, apps::class_name(config_.app_class), scenario,
+      cache::app_run_key(app, apps::class_name(cls), scenario,
                          framework_.run_context(seed_offset));
   return cache::memoize_scalar(cache, key, execute);
+}
+
+const trace::Trace& ExperimentDriver::app_trace(const std::string& app) {
+  return traces_.get(app, [&] {
+    util::log_info() << "tracing " << app << " (class "
+                     << apps::class_name(config_.app_class) << ")";
+    return framework_.record(program(app, config_.app_class), app);
+  });
 }
 
 double ExperimentDriver::app_time(const std::string& app,
@@ -77,78 +75,36 @@ double ExperimentDriver::app_time(const std::string& app,
                                   int repetition) {
   const auto key =
       std::make_tuple(app, std::string(scenario.name), repetition);
-  {
-    std::lock_guard<std::mutex> lock(time_mutex_);
-    auto it = app_times_.find(key);
-    if (it != app_times_.end()) return it->second;
-  }
-  const double elapsed = compute_app_time(app, scenario, repetition);
-  std::lock_guard<std::mutex> lock(time_mutex_);
-  return app_times_.try_emplace(key, elapsed).first->second;
+  return app_times_.get(key, [&] {
+    obs::PhaseProfiler::Scope scope(framework_.options().profiler, "measure");
+    return run_app(app, config_.app_class, scenario,
+                   static_cast<std::uint64_t>(repetition) * 13);
+  });
 }
 
 double ExperimentDriver::class_s_time(const std::string& app,
                                       const scenario::Scenario& scenario) {
   const auto key = std::make_pair(app, std::string(scenario.name));
-  {
-    std::lock_guard<std::mutex> lock(time_mutex_);
-    auto it = class_s_times_.find(key);
-    if (it != class_s_times_.end()) return it->second;
-  }
-  const auto execute = [&] {
-    return framework_.run_app(program(app, apps::NasClass::kS), scenario,
-                              /*seed_offset=*/7);
-  };
-  cache::ResultCache* cache = framework_.options().result_cache.get();
-  double elapsed;
-  if (cache == nullptr) {
-    elapsed = execute();
-  } else {
-    const cache::CacheKey cache_key = cache::app_run_key(
-        app, apps::class_name(apps::NasClass::kS), scenario,
-        framework_.run_context(/*seed_offset=*/7));
-    elapsed = cache::memoize_scalar(cache, cache_key, execute);
-  }
-  std::lock_guard<std::mutex> lock(time_mutex_);
-  return class_s_times_.try_emplace(key, elapsed).first->second;
+  return class_s_times_.get(key, [&] {
+    return run_app(app, apps::NasClass::kS, scenario, /*seed_offset=*/7);
+  });
 }
 
 const sig::Signature& ExperimentDriver::signature(const std::string& app,
                                                   double k) {
-  const auto key = std::make_pair(app, size_key(k));
-  auto it = signatures_.find(key);
-  if (it == signatures_.end()) {
+  return signatures_.get(std::make_pair(app, size_key(k)), [&] {
     util::log_info() << "compressing " << app << " for K=" << k;
-    it = signatures_.emplace(key, framework_.make_signature(app_trace(app), k))
-             .first;
-  }
-  return it->second;
+    return framework_.make_signature(app_trace(app), k);
+  });
 }
 
 const skeleton::Skeleton& ExperimentDriver::skeleton_for_size(
     const std::string& app, double size_seconds) {
-  const auto key = std::make_pair(app, size_key(size_seconds));
-  auto it = skeletons_.find(key);
-  if (it == skeletons_.end()) {
-    const double elapsed = app_trace(app).elapsed();
-    const double k = std::max(1.0, elapsed / size_seconds);
-    it = skeletons_
-             .emplace(key,
-                      framework_.make_consistent_skeleton(app_trace(app), k))
-             .first;
-  }
-  return it->second;
-}
-
-double ExperimentDriver::compute_skeleton_time(
-    const skeleton::Skeleton& skeleton, double size_seconds,
-    const scenario::Scenario& scenario, int repetition) const {
-  obs::PhaseProfiler::Scope scope(framework_.options().profiler, "measure");
-  const std::uint64_t seed_offset =
-      1 +
-      static_cast<std::uint64_t>(std::llabs(size_key(size_seconds)) % 97) +
-      static_cast<std::uint64_t>(repetition) * 31;
-  return framework_.run_skeleton(skeleton, scenario, seed_offset);
+  return skeletons_.get(std::make_pair(app, size_key(size_seconds)), [&] {
+    const trace::Trace& trace = app_trace(app);
+    const double k = std::max(1.0, trace.elapsed() / size_seconds);
+    return framework_.make_consistent_skeleton(trace, k);
+  });
 }
 
 double ExperimentDriver::observe_app(const std::string& app,
@@ -167,11 +123,11 @@ double ExperimentDriver::observe_skeleton(const std::string& app,
   const skeleton::Skeleton& skel = skeleton_for_size(app, size_seconds);
   recorder.metrics().set_info("app", app + "-skeleton");
   recorder.metrics().set_info("class", apps::class_name(config_.app_class));
-  // Same seed derivation as compute_skeleton_time's first repetition, so
-  // the instrumented timeline matches the first measured cell exactly.
-  const std::uint64_t seed_offset =
-      1 + static_cast<std::uint64_t>(std::llabs(size_key(size_seconds)) % 97);
-  return framework_.run_skeleton(skel, scenario, seed_offset, {}, &recorder);
+  // The seed of skeleton_time's first repetition, so the instrumented
+  // timeline matches the first measured cell exactly.
+  return framework_.run_skeleton(skel, scenario,
+                                 skeleton_seed_offset(size_seconds, 0), {},
+                                 &recorder);
 }
 
 double ExperimentDriver::skeleton_time(const std::string& app,
@@ -180,22 +136,17 @@ double ExperimentDriver::skeleton_time(const std::string& app,
                                        int repetition) {
   const auto key = std::make_tuple(app, size_key(size_seconds),
                                    std::string(scenario.name), repetition);
-  {
-    std::lock_guard<std::mutex> lock(time_mutex_);
-    auto it = skeleton_times_.find(key);
-    if (it != skeleton_times_.end()) return it->second;
-  }
-  const double elapsed = compute_skeleton_time(
-      skeleton_for_size(app, size_seconds), size_seconds, scenario,
-      repetition);
-  std::lock_guard<std::mutex> lock(time_mutex_);
-  return skeleton_times_.try_emplace(key, elapsed).first->second;
+  return skeleton_times_.get(key, [&] {
+    const skeleton::Skeleton& skel = skeleton_for_size(app, size_seconds);
+    obs::PhaseProfiler::Scope scope(framework_.options().profiler, "measure");
+    return framework_.run_skeleton(
+        skel, scenario, skeleton_seed_offset(size_seconds, repetition));
+  });
 }
 
 const skeleton::GoodSkeletonEstimate& ExperimentDriver::good_estimate(
     const std::string& app) {
-  auto it = good_estimates_.find(app);
-  if (it == good_estimates_.end()) {
+  return good_estimates_.get(app, [&] {
     // Reference compression: at least as deep as the smallest configured
     // skeleton (and never shallower than a 0.5 s one), so the dominant loop
     // structure is visible regardless of which sizes the caller requested.
@@ -204,11 +155,8 @@ const skeleton::GoodSkeletonEstimate& ExperimentDriver::good_estimate(
       min_size = std::min(min_size, size);
     }
     const double k = std::max(1.0, app_trace(app).elapsed() / min_size);
-    it = good_estimates_
-             .emplace(app, skeleton::estimate_good_skeleton(signature(app, k)))
-             .first;
-  }
-  return it->second;
+    return skeleton::estimate_good_skeleton(signature(app, k));
+  });
 }
 
 PredictionRecord ExperimentDriver::predict(
@@ -268,219 +216,58 @@ std::vector<GridCell> ExperimentDriver::grid_cells() const {
   return cells;
 }
 
-void ExperimentDriver::warm(const std::vector<GridCell>& cells) {
-  const int jobs = runner::resolve_jobs(config_.jobs);
-  if (jobs <= 1) {
-    for (const GridCell& cell : cells) {
-      app_trace(cell.app);
-      good_estimate(cell.app);
-      skeleton_for_size(cell.app, cell.size_seconds);
-    }
-    return;
-  }
-
-  runner::SweepOptions sweep_options;
-  sweep_options.jobs = jobs;
-  sweep_options.profiler = &phases_;
-
-  // Phase A: one dedicated-testbed tracing simulation per distinct
-  // still-untraced benchmark.  Traces are independent seeded simulations,
-  // so they fan out; installs stay serial because the construction caches
-  // hand out long-lived references.
-  std::vector<std::string> to_trace;
-  {
-    std::set<std::string> seen;
-    for (const GridCell& cell : cells) {
-      if (traces_.count(cell.app) == 0 && seen.insert(cell.app).second) {
-        util::log_info() << "tracing " << cell.app << " (class "
-                         << apps::class_name(config_.app_class) << ")";
-        to_trace.push_back(cell.app);
-      }
-    }
-  }
-  std::vector<trace::Trace> traced = runner::sweep_map(
-      to_trace,
-      [&](const std::string& app) {
-        return framework_.record(program(app, config_.app_class), app);
-      },
-      sweep_options);
-  for (std::size_t i = 0; i < to_trace.size(); ++i) {
-    traces_.emplace(to_trace[i], std::move(traced[i]));
-  }
-
-  // Phase B: compression work -- one consistent skeleton per distinct
-  // (benchmark, size) plus the reference signature behind each benchmark's
-  // good-skeleton estimate.  Every unit is a pure function of a now-cached
-  // trace, so the parallel bodies touch no driver state at all.
-  struct SkeletonUnit {
-    std::string app;
-    const trace::Trace* trace;
-    double k;
-    long long key;
-  };
-  struct EstimateUnit {
-    std::string app;
-    const trace::Trace* trace;
-    double k;
-  };
-  std::vector<SkeletonUnit> skeleton_units;
-  std::vector<EstimateUnit> estimate_units;
-  {
-    double min_size = 0.5;
-    for (double size : config_.skeleton_sizes) {
-      min_size = std::min(min_size, size);
-    }
-    std::set<std::pair<std::string, long long>> seen_skeletons;
-    std::set<std::string> seen_estimates;
-    for (const GridCell& cell : cells) {
-      const trace::Trace& trace = app_trace(cell.app);
-      const auto skeleton_key =
-          std::make_pair(cell.app, size_key(cell.size_seconds));
-      if (skeletons_.count(skeleton_key) == 0 &&
-          seen_skeletons.insert(skeleton_key).second) {
-        const double k =
-            std::max(1.0, trace.elapsed() / cell.size_seconds);
-        skeleton_units.push_back(
-            SkeletonUnit{cell.app, &trace, k, skeleton_key.second});
-      }
-      if (good_estimates_.count(cell.app) == 0 &&
-          seen_estimates.insert(cell.app).second) {
-        const double k = std::max(1.0, trace.elapsed() / min_size);
-        estimate_units.push_back(EstimateUnit{cell.app, &trace, k});
-      }
-    }
-  }
-  std::vector<skeleton::Skeleton> built(skeleton_units.size());
-  std::vector<sig::Signature> reference_signatures(estimate_units.size());
-  runner::sweep(
-      skeleton_units.size() + estimate_units.size(),
-      [&](std::size_t i) {
-        if (i < skeleton_units.size()) {
-          const SkeletonUnit& unit = skeleton_units[i];
-          built[i] = framework_.make_consistent_skeleton(*unit.trace, unit.k);
-        } else {
-          const EstimateUnit& unit = estimate_units[i - skeleton_units.size()];
-          reference_signatures[i - skeleton_units.size()] =
-              framework_.make_signature(*unit.trace, unit.k);
-        }
-      },
-      sweep_options);
-  for (std::size_t i = 0; i < skeleton_units.size(); ++i) {
-    skeletons_.emplace(
-        std::make_pair(skeleton_units[i].app, skeleton_units[i].key),
-        std::move(built[i]));
-  }
-  for (std::size_t i = 0; i < estimate_units.size(); ++i) {
-    const EstimateUnit& unit = estimate_units[i];
-    const auto signature_it =
-        signatures_
-            .emplace(std::make_pair(unit.app, size_key(unit.k)),
-                     std::move(reference_signatures[i]))
-            .first;
-    good_estimates_.emplace(
-        unit.app, skeleton::estimate_good_skeleton(signature_it->second));
-  }
-}
-
-void ExperimentDriver::fan_out_measurements(
-    const std::vector<GridCell>& cells, int jobs) {
-  // Enumerate the unique, still-uncached simulation runs the cells will ask
-  // for.  App runs are keyed (app, scenario, repetition): one per benchmark
-  // and scenario, shared by every skeleton size.  Skeleton runs are keyed
-  // (app, size, scenario, repetition), plus the dedicated calibration run
-  // shared by all scenarios of a cell.
-  struct AppRun {
-    const std::string* app;
-    const scenario::Scenario* scenario;
-    int repetition;
-  };
-  struct SkeletonRun {
-    const skeleton::Skeleton* skeleton;
-    double size_seconds;
-    const scenario::Scenario* scenario;
-    int repetition;
-    std::tuple<std::string, long long, std::string, int> key;
-  };
-  const int repetitions = std::max(1, config_.repetitions);
-  std::vector<AppRun> app_runs;
-  std::vector<SkeletonRun> skeleton_runs;
-  std::set<std::tuple<std::string, std::string, int>> app_keys;
-  std::set<std::tuple<std::string, long long, std::string, int>>
-      skeleton_keys;
-  const auto need_app = [&](const GridCell& cell,
-                            const scenario::Scenario& scenario,
-                            int repetition) {
-    auto key =
-        std::make_tuple(cell.app, std::string(scenario.name), repetition);
-    if (app_times_.count(key) != 0 || !app_keys.insert(key).second) return;
-    app_runs.push_back(AppRun{&cell.app, &scenario, repetition});
-  };
-  const auto need_skeleton = [&](const GridCell& cell,
-                                 const scenario::Scenario& scenario,
-                                 int repetition) {
-    auto key = std::make_tuple(cell.app, size_key(cell.size_seconds),
-                               std::string(scenario.name), repetition);
-    if (skeleton_times_.count(key) != 0 ||
-        !skeleton_keys.insert(key).second) {
-      return;
-    }
-    skeleton_runs.push_back(
-        SkeletonRun{&skeleton_for_size(cell.app, cell.size_seconds),
-                    cell.size_seconds, &scenario, repetition, std::move(key)});
-  };
-  for (const GridCell& cell : cells) {
-    need_skeleton(cell, scenario::dedicated(), 0);
-    for (int repetition = 0; repetition < repetitions; ++repetition) {
-      need_skeleton(cell, *cell.scenario, repetition);
-      need_app(cell, *cell.scenario, repetition);
-    }
-  }
-
-  // Fan out.  Each run writes its own slot; no shared mutable state is
-  // touched until the serial install loop below, so scheduling cannot
-  // perturb the results.
-  std::vector<double> app_elapsed(app_runs.size());
-  std::vector<double> skeleton_elapsed(skeleton_runs.size());
-  runner::SweepOptions sweep_options;
-  sweep_options.jobs = jobs;
-  sweep_options.profiler = &phases_;
-  runner::sweep(
-      app_runs.size() + skeleton_runs.size(),
-      [&](std::size_t i) {
-        if (i < app_runs.size()) {
-          const AppRun& run = app_runs[i];
-          app_elapsed[i] =
-              compute_app_time(*run.app, *run.scenario, run.repetition);
-        } else {
-          const SkeletonRun& run = skeleton_runs[i - app_runs.size()];
-          skeleton_elapsed[i - app_runs.size()] = compute_skeleton_time(
-              *run.skeleton, run.size_seconds, *run.scenario, run.repetition);
-        }
-      },
-      sweep_options);
-
-  std::lock_guard<std::mutex> lock(time_mutex_);
-  for (std::size_t i = 0; i < app_runs.size(); ++i) {
-    const AppRun& run = app_runs[i];
-    app_times_.try_emplace(
-        std::make_tuple(*run.app, std::string(run.scenario->name),
-                        run.repetition),
-        app_elapsed[i]);
-  }
-  for (std::size_t i = 0; i < skeleton_runs.size(); ++i) {
-    skeleton_times_.try_emplace(skeleton_runs[i].key, skeleton_elapsed[i]);
-  }
-}
-
 std::vector<PredictionRecord> ExperimentDriver::predict_cells(
     const std::vector<GridCell>& cells) {
-  const int jobs = runner::resolve_jobs(config_.jobs);
-  if (jobs > 1 && cells.size() > 1) {
-    warm(cells);
-    fan_out_measurements(cells, jobs);
+  // Every value the cells need, deepest dependency first: the pool claims
+  // tasks in list order, so a task only waits on a memo while an earlier
+  // task is still computing it.  Duplicates are dropped here rather than
+  // left to block a worker on the memo.
+  std::vector<std::function<void()>> tasks;
+  std::set<std::string> traced;
+  for (const GridCell& cell : cells) {
+    if (traced.insert(cell.app).second) {
+      tasks.emplace_back([this, &cell] { app_trace(cell.app); });
+    }
   }
-  // With the caches populated this loop is pure arithmetic; with jobs=1 it
-  // is exactly the historical serial path, computing lazily as it goes.
+  std::set<std::pair<std::string, long long>> built;
+  std::set<std::string> estimated;
+  for (const GridCell& cell : cells) {
+    if (built.emplace(cell.app, size_key(cell.size_seconds)).second) {
+      tasks.emplace_back(
+          [this, &cell] { skeleton_for_size(cell.app, cell.size_seconds); });
+    }
+    if (estimated.insert(cell.app).second) {
+      tasks.emplace_back([this, &cell] { good_estimate(cell.app); });
+    }
+  }
+  const int repetitions = std::max(1, config_.repetitions);
+  std::set<std::pair<std::string, long long>> calibrated;
+  std::set<std::pair<std::string, std::string>> app_runs;
+  for (const GridCell& cell : cells) {
+    if (calibrated.emplace(cell.app, size_key(cell.size_seconds)).second) {
+      tasks.emplace_back([this, &cell] {
+        skeleton_time(cell.app, cell.size_seconds, scenario::dedicated());
+      });
+    }
+    const bool run_app = app_runs.emplace(cell.app, cell.scenario->name).second;
+    for (int repetition = 0; repetition < repetitions; ++repetition) {
+      tasks.emplace_back([this, &cell, repetition] {
+        skeleton_time(cell.app, cell.size_seconds, *cell.scenario, repetition);
+      });
+      if (run_app) {
+        tasks.emplace_back([this, &cell, repetition] {
+          app_time(cell.app, *cell.scenario, repetition);
+        });
+      }
+    }
+  }
+  runner::SweepOptions sweep_options;
+  sweep_options.jobs = config_.jobs;
+  sweep_options.profiler = &phases_;
+  runner::sweep(
+      tasks.size(), [&](std::size_t i) { tasks[i](); }, sweep_options);
+
+  // All memo hits from here on.
   std::vector<PredictionRecord> records;
   records.reserve(cells.size());
   for (const GridCell& cell : cells) {

@@ -1,8 +1,9 @@
 // Experiment driver: reproduces the paper's evaluation grid.
 //
-// Caches traces, scenario timings, signatures and skeletons so that the
+// Memoizes traces, scenario timings, signatures and skeletons so that the
 // `psk figure` entries, which slice the same grid differently and share one
-// driver per invocation, stay cheap.  All measurements follow section 4.2:
+// driver per invocation, stay cheap.  Every getter computes its value once,
+// and is safe to call from runner pool workers.  All measurements follow section 4.2:
 //   - skeletons are constructed for target sizes 10/5/2/1/0.5 seconds;
 //   - prediction = skeleton time in scenario x measured scaling ratio,
 //     where the ratio uses the skeleton's actual dedicated time;
@@ -11,15 +12,16 @@
 // slowdown) are implemented here as well.
 #pragma once
 
-#include <map>
-#include <mutex>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "apps/nas.h"
 #include "core/framework.h"
 #include "obs/phase.h"
 #include "obs/recorder.h"
+#include "runner/memo.h"
 #include "scenario/scenario.h"
 #include "sig/signature.h"
 #include "skeleton/skeleton.h"
@@ -37,10 +39,10 @@ struct ExperimentConfig {
   /// systematic effects (latency scaling, unbalanced synchronization) from
   /// one-shot sampling noise of the fluttering environment.
   int repetitions = 3;
-  /// Measurement-phase parallelism for run_grid()/predict_cells(): 0 = one
-  /// job per hardware thread, 1 = strictly serial evaluation on the calling
-  /// thread (the pre-runner code path).  Results are bit-identical across
-  /// all settings; only wall-clock time changes.
+  /// Parallelism of run_grid()/predict_cells(): 0 = one job per hardware
+  /// thread, 1 = the same task list run inline on the calling thread.
+  /// Results are bit-identical across all settings; only wall-clock time
+  /// changes.
   int jobs = 0;
   FrameworkOptions framework;
 };
@@ -103,16 +105,12 @@ class ExperimentDriver {
   /// x paper scenario, in configuration order.
   std::vector<GridCell> grid_cells() const;
 
-  /// Serial warm phase: populates the trace / signature / skeleton /
-  /// good-estimate caches every cell needs (each benchmark is traced once).
-  /// After warming, predict() and the time getters are safe to call for
-  /// these cells from pool workers.
-  void warm(const std::vector<GridCell>& cells);
-
   /// Evaluates the cells with `config().jobs` workers and returns records
-  /// in input order.  Construction (warm phase) stays serial; the
-  /// measurement runs -- isolated deterministic simulations -- fan out
-  /// across the runner pool.  Bit-identical to the serial path.
+  /// in input order.  One sweep computes every value the cells need, as a
+  /// task list ordered deepest dependency first: the traces, then the
+  /// skeletons and good estimates, then each cell's measurement runs.  The
+  /// records are then assembled serially from the memos.  Bit-identical
+  /// for any `jobs`.
   std::vector<PredictionRecord> predict_cells(
       const std::vector<GridCell>& cells);
 
@@ -164,23 +162,13 @@ class ExperimentDriver {
 
  private:
   mpi::RankMain program(const std::string& app, apps::NasClass cls) const;
+  /// One seeded app run under `scenario`, through the result cache when
+  /// one is configured.
+  double run_app(const std::string& app, apps::NasClass cls,
+                 const scenario::Scenario& scenario,
+                 std::uint64_t seed_offset) const;
   double class_s_time(const std::string& app,
                       const scenario::Scenario& scenario);
-
-  // Uncached measurement primitives.  Const and state-free (every run
-  // builds a fresh simulated machine), so pool workers may call them
-  // concurrently; the cached getters above funnel through them.
-  double compute_app_time(const std::string& app,
-                          const scenario::Scenario& scenario,
-                          int repetition) const;
-  double compute_skeleton_time(const skeleton::Skeleton& skeleton,
-                               double size_seconds,
-                               const scenario::Scenario& scenario,
-                               int repetition) const;
-
-  /// Runs every uncached measurement the cells need across `jobs` workers
-  /// and installs the results in the time caches.  Requires warm(cells).
-  void fan_out_measurements(const std::vector<GridCell>& cells, int jobs);
 
   ExperimentConfig config_;
   /// Declared before framework_: the constructor injects &phases_ into
@@ -189,21 +177,17 @@ class ExperimentDriver {
   obs::PhaseProfiler phases_;
   SkeletonFramework framework_;
 
-  // Construction caches (traces_, signatures_, skeletons_, good_estimates_)
-  // hand out long-lived references and are populated only by the serial
-  // warm phase -- never from pool workers.  The scalar time caches are
-  // guarded by time_mutex_ so ad-hoc app_time()/skeleton_time() calls are
-  // safe from pool workers too; racing lookups may compute a value twice,
-  // but the simulations are deterministic so both results are identical.
-  std::map<std::string, trace::Trace> traces_;
-  std::map<std::tuple<std::string, std::string, int>, double> app_times_;
-  std::map<std::pair<std::string, std::string>, double> class_s_times_;
-  std::map<std::pair<std::string, long long>, sig::Signature> signatures_;
-  std::map<std::pair<std::string, long long>, skeleton::Skeleton> skeletons_;
-  std::map<std::tuple<std::string, long long, std::string, int>, double>
+  // One memo per getter.  Sizes and Ks are keyed at microsecond
+  // resolution; scenarios by name.
+  runner::Memo<std::string, trace::Trace> traces_;
+  runner::Memo<std::tuple<std::string, std::string, int>, double> app_times_;
+  runner::Memo<std::pair<std::string, std::string>, double> class_s_times_;
+  runner::Memo<std::pair<std::string, long long>, sig::Signature> signatures_;
+  runner::Memo<std::pair<std::string, long long>, skeleton::Skeleton>
+      skeletons_;
+  runner::Memo<std::tuple<std::string, long long, std::string, int>, double>
       skeleton_times_;
-  std::map<std::string, skeleton::GoodSkeletonEstimate> good_estimates_;
-  std::mutex time_mutex_;
+  runner::Memo<std::string, skeleton::GoodSkeletonEstimate> good_estimates_;
 };
 
 /// Mean error across records (ignores empty input).

@@ -11,8 +11,6 @@
 
 #include <cstddef>
 #include <functional>
-#include <utility>
-#include <vector>
 
 #include "obs/phase.h"
 #include "runner/pool.h"
@@ -31,19 +29,5 @@ struct SweepOptions {
 /// Rethrows the lowest-index exception, like a serial loop would.
 void sweep(std::size_t count, const std::function<void(std::size_t)>& body,
            const SweepOptions& options = {});
-
-/// Maps `fn` over `items`; results[i] == fn(items[i]) for every i, in input
-/// order, regardless of scheduling.  `fn` must be safe to call concurrently.
-template <typename Item, typename Fn>
-auto sweep_map(const std::vector<Item>& items, Fn fn,
-               const SweepOptions& options = {})
-    -> std::vector<decltype(fn(std::declval<const Item&>()))> {
-  std::vector<decltype(fn(std::declval<const Item&>()))> results(
-      items.size());
-  sweep(
-      items.size(), [&](std::size_t i) { results[i] = fn(items[i]); },
-      options);
-  return results;
-}
 
 }  // namespace psk::runner

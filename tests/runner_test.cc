@@ -1,12 +1,17 @@
-// Tests for the psk::runner subsystem: the work-stealing pool, the sweep
-// executor, and the headline guarantee -- a parallel experiment grid is
-// element-wise identical to the serial one.
+// Tests for the psk::runner subsystem: the FIFO pool, the sweep executor,
+// and the headline guarantees of the memoized experiment driver on top of
+// them -- a parallel grid is element-wise identical to the serial one, and
+// computes each shared value exactly once.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
+#include <mutex>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include <fstream>
@@ -89,16 +94,38 @@ TEST(ThreadPool, UsableAfterFailure) {
   EXPECT_EQ(count.load(), 8);
 }
 
+TEST(ThreadPool, ClaimsIndicesInAscendingOrder) {
+  // One shared claim counter: every thread sees its indices in ascending
+  // order, which is what makes a deepest-dependency-first list a schedule.
+  ThreadPool pool(4);
+  std::mutex mutex;
+  std::map<std::thread::id, std::vector<std::size_t>> claimed;
+  pool.parallel_for(1000, [&](std::size_t i) {
+    std::lock_guard<std::mutex> lock(mutex);
+    claimed[std::this_thread::get_id()].push_back(i);
+  });
+  std::size_t total = 0;
+  for (const auto& [thread, indices] : claimed) {
+    total += indices.size();
+    for (std::size_t k = 1; k < indices.size(); ++k) {
+      ASSERT_LT(indices[k - 1], indices[k]);
+    }
+  }
+  EXPECT_EQ(total, 1000u);
+}
+
 // ------------------------------------------------------------------ sweep
 
 TEST(Sweep, MapPreservesInputOrder) {
-  std::vector<int> items(500);
-  for (int i = 0; i < 500; ++i) items[i] = i;
+  // Bodies writing slot i of a preallocated vector see results in input
+  // order, however the pool schedules them.
+  std::vector<int> doubled(500);
   SweepOptions options;
   options.jobs = 4;
-  const std::vector<int> doubled =
-      sweep_map(items, [](const int& x) { return 2 * x; }, options);
-  ASSERT_EQ(doubled.size(), items.size());
+  sweep(
+      doubled.size(),
+      [&](std::size_t i) { doubled[i] = 2 * static_cast<int>(i); },
+      options);
   for (int i = 0; i < 500; ++i) ASSERT_EQ(doubled[i], 2 * i);
 }
 
@@ -308,7 +335,7 @@ TEST(JournaledSweep, LegacyThreeFieldLineIsUnparsable) {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out << "k1\tok\tpayload-one\n";
   }
-  int calls = 0;
+  std::atomic<int> calls{0};  // bodies run on pool workers
   JournalReplayStats stats;
   JournaledSweepOptions resume;
   resume.journal_path = path;
@@ -317,11 +344,11 @@ TEST(JournaledSweep, LegacyThreeFieldLineIsUnparsable) {
   const std::vector<CellResult> results = journaled_sweep(
       {"k1", "k2"},
       [&](std::size_t i) {
-        ++calls;
+        calls.fetch_add(1);
         return "computed-" + std::to_string(i);
       },
       resume);
-  EXPECT_EQ(calls, 2);  // k1 ran again
+  EXPECT_EQ(calls.load(), 2);  // k1 ran again
   EXPECT_EQ(stats.replayed, 0u);
   EXPECT_EQ(stats.dropped_unparsable, 1u);
   EXPECT_EQ(results[0].payload, "computed-0");
@@ -402,6 +429,87 @@ TEST(Sweep, ParallelGridIsBitIdenticalToSerial) {
   }
 }
 
+TEST(Sweep, EachValueIsComputedOnceAtAnyJobs) {
+  // Fresh drivers with their own result caches: every distinct simulation
+  // run misses the cache exactly once and every distinct (app, size)
+  // skeleton is scaled exactly once, whether the memos are filled by one
+  // thread or raced by four.
+  struct Counts {
+    std::uint64_t misses;
+    std::uint64_t scaled;
+  };
+  auto run = [](int jobs) {
+    core::ExperimentConfig config = grid_config(jobs);
+    config.framework.result_cache = std::make_shared<cache::ResultCache>();
+    core::ExperimentDriver driver(config);
+    driver.run_grid();
+    const auto phases = driver.phases().snapshot();
+    const auto scale = phases.find("scale");
+    return Counts{config.framework.result_cache->stats().misses,
+                  scale == phases.end() ? 0 : scale->second.calls};
+  };
+  const core::ExperimentConfig config = grid_config(1);
+  std::set<std::tuple<std::string, std::string, int>> app_runs;
+  std::set<std::tuple<std::string, double, std::string, int>> skeleton_runs;
+  for (const std::string& app : config.benchmarks) {
+    for (double size : config.skeleton_sizes) {
+      skeleton_runs.emplace(app, size, scenario::dedicated().name, 0);
+      for (const scenario::Scenario& s : scenario::paper_scenarios()) {
+        for (int repetition = 0; repetition < config.repetitions;
+             ++repetition) {
+          app_runs.emplace(app, s.name, repetition);
+          skeleton_runs.emplace(app, size, s.name, repetition);
+        }
+      }
+    }
+  }
+  const std::uint64_t distinct_runs = app_runs.size() + skeleton_runs.size();
+  const std::uint64_t distinct_skeletons =
+      config.benchmarks.size() * config.skeleton_sizes.size();
+
+  const Counts serial = run(1);
+  const Counts parallel = run(4);
+  EXPECT_EQ(serial.misses, distinct_runs);
+  EXPECT_EQ(parallel.misses, distinct_runs);
+  EXPECT_EQ(serial.scaled, distinct_skeletons);
+  EXPECT_EQ(parallel.scaled, distinct_skeletons);
+}
+
+TEST(Sweep, FailedValueIsRetriedNotCached) {
+  // An unknown benchmark fails its trace.  The failure must surface as the
+  // same ConfigError at any jobs setting, without hanging the workers that
+  // waited on it, and must not be memoized: a second call fails again, and
+  // the driver stays usable for valid cells.
+  const scenario::Scenario& scenario = scenario::paper_scenarios()[0];
+  const std::vector<core::GridCell> bad = {{"MG", 0.1, &scenario},
+                                           {"NOPE", 0.1, &scenario},
+                                           {"NOPE", 0.05, &scenario}};
+  auto failure = [&](core::ExperimentDriver& driver) -> std::string {
+    try {
+      driver.predict_cells(bad);
+    } catch (const ConfigError& error) {
+      return error.what();
+    }
+    return "no ConfigError";
+  };
+  core::ExperimentDriver serial(grid_config(1));
+  const std::string expect = failure(serial);
+  EXPECT_NE(expect.find("NOPE"), std::string::npos) << expect;
+
+  core::ExperimentDriver parallel(grid_config(4));
+  EXPECT_EQ(failure(parallel), expect);
+  EXPECT_EQ(failure(parallel), expect);
+
+  const std::vector<core::PredictionRecord> expect_records =
+      serial.predict_cells({bad[0]});
+  const std::vector<core::PredictionRecord> got =
+      parallel.predict_cells({bad[0]});
+  ASSERT_EQ(got.size(), 1u);
+  ASSERT_EQ(expect_records.size(), 1u);
+  EXPECT_EQ(got[0].error_percent, expect_records[0].error_percent);
+  EXPECT_EQ(parallel.run_grid().size(), parallel.grid_cells().size());
+}
+
 TEST(Sweep, GridCellOrderMatchesSerialNesting) {
   // grid_cells() must enumerate app x size x scenario in the same order the
   // serial loops always did, since records are keyed by position.
@@ -438,7 +546,6 @@ TEST(Sweep, FaultGridIsBitIdenticalAcrossJobs) {
     for (const scenario::Scenario& s : scenario::fault_scenarios()) {
       cells.push_back({"MG", 0.1, &s});
     }
-    driver.warm(cells);
     return driver.predict_cells(cells);
   };
   const std::vector<core::PredictionRecord> expect = run(1);

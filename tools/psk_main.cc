@@ -321,7 +321,7 @@ int cmd_report(const util::Cli& cli) {
     check_app_trace(driver.app_trace(app), mode);
   }
   // Evaluate the whole grid through the runner pool up front; the report
-  // loops below then assemble records from warm caches.
+  // loops below then assemble records from the driver's memos.
   driver.run_grid();
 
   std::ofstream out(out_path);
