@@ -1,11 +1,11 @@
 // libFuzzer harness for the PSKARCH1 container and payload codecs.
 //
-// Exercises the full untrusted-bytes surface: frame parsing (magic,
-// versions, size, checksum), the strict payload decoders, and the prefix
-// decoders the salvage layer leans on.  The archive API reports errors
-// through Result, so nothing here should throw at all; the prefix decoders
-// additionally promise to never fail on mere truncation, which makes every
-// mutated frame a meaningful input for them.
+// Exercises the full untrusted-bytes surface: header and frame parsing
+// (magic, versions, size, checksum), the strict payload decoders, and the
+// skeleton prefix decoder the salvage layer leans on.  The archive API
+// reports errors through Result, so nothing here should throw at all; the
+// prefix decoder additionally promises to never fail on mere truncation,
+// which makes every mutated frame a meaningful input for it.
 #include <cstddef>
 #include <cstdint>
 #include <string_view>
@@ -19,20 +19,19 @@ namespace {
 void decode_payload(psk::archive::PayloadKind kind, std::string_view payload,
                     std::uint32_t version) {
   using psk::archive::PayloadKind;
-  psk::archive::PrefixStats stats;
   switch (kind) {
     case PayloadKind::kTrace:
       (void)psk::archive::decode_trace(payload, version);
-      (void)psk::archive::decode_trace_prefix(payload, version, stats);
       break;
     case PayloadKind::kSignature:
       (void)psk::archive::decode_signature(payload, version);
-      (void)psk::archive::decode_signature_prefix(payload, version, stats);
       break;
-    case PayloadKind::kSkeleton:
+    case PayloadKind::kSkeleton: {
       (void)psk::archive::decode_skeleton(payload, version);
+      psk::archive::PrefixStats stats;
       (void)psk::archive::decode_skeleton_prefix(payload, version, stats);
       break;
+    }
   }
 }
 
@@ -43,6 +42,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   const std::string_view bytes(reinterpret_cast<const char*>(data), size);
   try {
     (void)psk::archive::looks_like_archive(bytes);
+    (void)psk::archive::read_header(bytes);
     psk::archive::Result<psk::archive::Frame> frame =
         psk::archive::read_frame(bytes);
     if (frame.ok()) {
@@ -50,8 +50,8 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
       decode_payload(f.kind, f.payload, f.payload_version);
     }
     // The decoders also accept raw payload bytes (the salvage layer hands
-    // them clamped slices of damaged files), so feed the whole input as a
-    // bare payload of every kind too.
+    // the skeleton prefix decoder clamped slices of damaged files), so feed
+    // the whole input as a bare payload of every kind too.
     decode_payload(psk::archive::PayloadKind::kTrace, bytes, 1);
     decode_payload(psk::archive::PayloadKind::kSignature, bytes, 1);
     decode_payload(psk::archive::PayloadKind::kSkeleton, bytes, 1);

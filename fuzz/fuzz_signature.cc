@@ -4,9 +4,9 @@
 // same input to both parsers: any byte string either parses or throws
 // psk::Error.  Parsed values are run through the guard validators so their
 // recursive walks see fuzzer-shaped loop nests as well, and the same bytes
-// are pushed through the salvage layer, whose job is precisely to survive
+// are pushed through the skeleton salvor, whose job is precisely to survive
 // arbitrary damage (it must recover, reject, or throw psk::Error -- never
-// crash).
+// crash).  Signatures are never salvaged: only skeletons are shipped.
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -34,8 +34,6 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   }
   try {
     psk::guard::SalvageReport report;
-    (void)psk::guard::salvage_signature_bytes(text, report);
-    (void)report.render();
     (void)psk::guard::salvage_skeleton_bytes(text, report);
     (void)report.render();
   } catch (const psk::Error&) {

@@ -4,14 +4,13 @@
 // throws psk::Error (FormatError for malformed documents).  Crashes, hangs,
 // unbounded allocations and any *other* exception type are findings.  A
 // document that does parse is pushed through guard::validate_trace too, so
-// the semantic validator is fuzzed with structurally valid inputs for free,
-// and every input is also fed to the salvage layer, which must recover,
-// reject, or throw psk::Error -- never crash -- on arbitrary damage.
+// the semantic validator is fuzzed with structurally valid inputs for free.
+// (Traces are never salvaged: only skeletons are shipped and can arrive
+// torn; see guard/salvage.h.)
 #include <cstddef>
 #include <cstdint>
 #include <string>
 
-#include "guard/salvage.h"
 #include "guard/validate.h"
 #include "trace/io.h"
 #include "util/error.h"
@@ -26,12 +25,6 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     (void)report.render();  // rendering must not throw either
   } catch (const psk::Error&) {
     // Graceful rejection: the documented behaviour for bad input.
-  }
-  try {
-    psk::guard::SalvageReport report;
-    (void)psk::guard::salvage_trace_bytes(text, report);
-    (void)report.render();
-  } catch (const psk::Error&) {
   }
   return 0;
 }

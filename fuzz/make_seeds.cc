@@ -4,8 +4,9 @@
 //     fuzz_make_seeds fuzz/corpus
 // Seeds are small, valid-by-construction documents plus a few deliberately
 // damaged variants (truncations, a flipped checksum byte), so every parser
-// branch the harnesses guard -- accept, reject, salvage-prefix -- has at
-// least one covering input before the fuzzer mutates anything.  Output is
+// branch the harnesses guard -- accept, reject, and for skeletons (the one
+// artifact that is salvaged) salvage-prefix -- has at least one covering
+// input before the fuzzer mutates anything.  Output is
 // deterministic: regenerating must not dirty the checkout.
 #include <cstdio>
 #include <fstream>
@@ -136,6 +137,13 @@ int main(int argc, char** argv) {
              "psk-signature 1\napp x\nthreshold 0.1\nratio 1\nranks ");
   write_file(root + "/signature/negative_ranks.sig",
              "psk-signature 1\napp x\nthreshold 0.1\nratio 1\nranks -1\n");
+  // Torn skeletons, text and PSKARCH1, for the skeleton salvor; and a
+  // ranks count that is a float far beyond any integer type.
+  write_file(root + "/signature/truncated.skel",
+             skel_text.substr(0, skel_text.size() * 3 / 4));
+  write_file(root + "/signature/float_ranks.skel",
+             "psk-skeleton 1\napp x\nk 1\nintended 1\nmin_good 1\ngood 1\n"
+             "ranks 1e300\n");
 
   // -------------------------------------------------------------- archive
   std::string payload;
@@ -159,6 +167,8 @@ int main(int argc, char** argv) {
       framed(archive::PayloadKind::kSkeleton, payload);
   write_file(root + "/archive/skeleton.pskarch", skel_arch);
   write_file(root + "/archive/header_only.pskarch", skel_arch.substr(0, 24));
+  write_file(root + "/signature/truncated_skel.pskarch",
+             skel_arch.substr(0, skel_arch.size() * 3 / 4));
   write_file(root + "/archive/magic_only.pskarch", "PSKARCH1");
 
   // Regression seed: a well-framed trace payload whose rank declares a

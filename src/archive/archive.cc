@@ -8,7 +8,6 @@ namespace psk::archive {
 
 namespace {
 
-constexpr std::size_t kHeaderSize = 8 + 2 + 2 + 4 + 8;
 constexpr std::size_t kChecksumSize = 8;
 
 template <typename T>
@@ -78,15 +77,16 @@ bool looks_like_archive(std::string_view bytes) {
   return bytes.substr(0, kMagic.size()) == kMagic;
 }
 
-Result<Frame> read_frame(std::string_view bytes) {
+Result<Header> read_header(std::string_view bytes) {
   if (!looks_like_archive(bytes)) {
     return Error{ErrorCode::kBadMagic, "not a psk archive"};
   }
   Cursor in(bytes.substr(kMagic.size()));
   const std::uint16_t container_version = in.u16();
   const std::uint16_t raw_kind = in.u16();
-  const std::uint32_t payload_version = in.u32();
-  const std::uint64_t payload_size = in.u64();
+  Header header;
+  header.payload_version = in.u32();
+  header.payload_size = in.u64();
   if (!in.ok()) return in.error();
   if (container_version != kContainerVersion) {
     return Error{ErrorCode::kBadVersion,
@@ -97,25 +97,33 @@ Result<Frame> read_frame(std::string_view bytes) {
     return Error{ErrorCode::kCorrupt,
                  "unknown payload kind " + std::to_string(raw_kind)};
   }
+  header.kind = static_cast<PayloadKind>(raw_kind);
+  return header;
+}
+
+Result<Frame> read_frame(std::string_view bytes) {
+  const Result<Header> header = read_header(bytes);
+  if (!header.ok()) return header.error();
+  const std::uint64_t payload_size = header.value().payload_size;
+  const std::size_t remaining = bytes.size() - kHeaderSize;
   // Declared size vs bytes actually present, checked before the payload is
   // copied: a hostile size field costs nothing.  Overflow-safe comparison
   // (payload_size + kChecksumSize could wrap).
-  if (in.remaining() < kChecksumSize ||
-      payload_size > in.remaining() - kChecksumSize) {
+  if (remaining < kChecksumSize || payload_size > remaining - kChecksumSize) {
     return Error{ErrorCode::kTruncated,
                  "payload declares " + std::to_string(payload_size) +
-                     " byte(s) but only " + std::to_string(in.remaining()) +
+                     " byte(s) but only " + std::to_string(remaining) +
                      " remain"};
   }
-  if (payload_size < in.remaining() - kChecksumSize) {
+  if (payload_size < remaining - kChecksumSize) {
     return Error{ErrorCode::kCorrupt,
                  "frame size mismatch (payload says " +
                      std::to_string(payload_size) + " byte(s), file has " +
-                     std::to_string(in.remaining()) + ")"};
+                     std::to_string(remaining) + ")"};
   }
   Frame frame;
-  frame.kind = static_cast<PayloadKind>(raw_kind);
-  frame.payload_version = payload_version;
+  frame.kind = header.value().kind;
+  frame.payload_version = header.value().payload_version;
   frame.payload =
       std::string(bytes.substr(kHeaderSize, static_cast<std::size_t>(payload_size)));
   Cursor tail(bytes.substr(kHeaderSize + static_cast<std::size_t>(payload_size)));

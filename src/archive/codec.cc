@@ -387,116 +387,6 @@ Result<sig::Signature> decode_signature(std::string_view payload,
   return signature;
 }
 
-Result<trace::Trace> decode_trace_prefix(std::string_view payload,
-                                         std::uint32_t version,
-                                         PrefixStats& stats) {
-  stats = PrefixStats{};
-  if (version != kTraceVersion) {
-    return Error{ErrorCode::kBadVersion,
-                 "trace payload version " + std::to_string(version)};
-  }
-  Cursor in(payload);
-  const auto checkpoint = [&] {
-    stats.bytes_consumed = payload.size() - in.remaining();
-  };
-  trace::Trace trace;
-  trace.app_name = in.string();
-  const std::uint32_t ranks = in.u32();
-  if (!in.ok() || ranks > kMaxRanks) {
-    return Error{ErrorCode::kCorrupt, in.ok() ? "implausible rank count"
-                                              : in.error().message};
-  }
-  stats.ranks_expected = ranks;
-  checkpoint();
-  bool stopped = false;
-  for (std::uint32_t r = 0; r < ranks && !stopped; ++r) {
-    trace::RankTrace rank;
-    rank.rank = in.i32();
-    rank.total_time = in.f64();
-    rank.final_compute = in.f64();
-    const std::uint64_t events = in.u64();
-    if (!in.ok() || events > kMaxEvents) {
-      stats.detail = in.ok() ? "implausible event count at rank " +
-                                   std::to_string(r)
-                             : in.error().message;
-      break;
-    }
-    stats.events_expected += events;
-    ++stats.ranks_kept;
-    checkpoint();
-    rank.events.reserve(clamped_reserve(events));
-    for (std::uint64_t e = 0; e < events; ++e) {
-      trace::TraceEvent event = decode_event(in);
-      if (!in.ok()) {
-        stats.detail = in.error().message;
-        stopped = true;
-        break;
-      }
-      rank.events.push_back(std::move(event));
-      ++stats.events_kept;
-      checkpoint();
-    }
-    trace.ranks.push_back(std::move(rank));
-  }
-  stats.complete = !stopped && stats.ranks_kept == ranks && in.ok() &&
-                   in.at_end();
-  if (!stats.complete && stats.detail.empty()) {
-    stats.detail = in.at_end() ? "rank headers missing"
-                               : "trailing bytes after trace payload";
-  }
-  return trace;
-}
-
-namespace {
-
-/// Shared rank-forest prefix loop of the signature/skeleton salvors: keeps
-/// whole ranks decoded before the first failure.
-void decode_rank_prefix(Cursor& in, std::string_view payload,
-                        std::uint32_t ranks,
-                        std::vector<sig::RankSignature>& out,
-                        PrefixStats& stats) {
-  stats.ranks_expected = ranks;
-  stats.bytes_consumed = payload.size() - in.remaining();
-  for (std::uint32_t r = 0; r < ranks; ++r) {
-    sig::RankSignature rank = decode_rank_signature(in);
-    if (!in.ok()) {
-      stats.detail = in.error().message;
-      break;
-    }
-    out.push_back(std::move(rank));
-    ++stats.ranks_kept;
-    stats.bytes_consumed = payload.size() - in.remaining();
-  }
-  stats.complete = stats.ranks_kept == ranks && in.ok() && in.at_end();
-  if (!stats.complete && stats.detail.empty()) {
-    stats.detail = "trailing bytes after payload";
-  }
-}
-
-}  // namespace
-
-Result<sig::Signature> decode_signature_prefix(std::string_view payload,
-                                               std::uint32_t version,
-                                               PrefixStats& stats) {
-  stats = PrefixStats{};
-  if (version != kSignatureVersion) {
-    return Error{ErrorCode::kBadVersion,
-                 "signature payload version " + std::to_string(version)};
-  }
-  Cursor in(payload);
-  sig::Signature signature;
-  signature.app_name = in.string();
-  signature.threshold = in.f64();
-  signature.compression_ratio = in.f64();
-  const std::uint32_t ranks = in.u32();
-  if (!in.ok() || ranks > kMaxRanks) {
-    return Error{ErrorCode::kCorrupt, in.ok() ? "implausible rank count"
-                                              : in.error().message};
-  }
-  decode_rank_prefix(in, payload, ranks, signature.ranks, stats);
-  return signature;
-}
-
 Result<skeleton::Skeleton> decode_skeleton_prefix(std::string_view payload,
                                                   std::uint32_t version,
                                                   PrefixStats& stats) {
@@ -517,7 +407,21 @@ Result<skeleton::Skeleton> decode_skeleton_prefix(std::string_view payload,
     return Error{ErrorCode::kCorrupt, in.ok() ? "implausible rank count"
                                               : in.error().message};
   }
-  decode_rank_prefix(in, payload, ranks, skeleton.ranks, stats);
+  stats.ranks_expected = ranks;
+  stats.bytes_consumed = payload.size() - in.remaining();
+  for (std::uint32_t r = 0; r < ranks; ++r) {
+    sig::RankSignature rank = decode_rank_signature(in);
+    if (!in.ok()) {
+      stats.detail = in.error().message;
+      break;
+    }
+    skeleton.ranks.push_back(std::move(rank));
+    ++stats.ranks_kept;
+    stats.bytes_consumed = payload.size() - in.remaining();
+  }
+  if (stats.detail.empty() && !in.at_end()) {
+    stats.detail = "trailing bytes after payload";
+  }
   return skeleton;
 }
 

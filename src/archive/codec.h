@@ -11,7 +11,8 @@
 //     is never loaded back).
 //
 // Decoders return Result<T> with typed errors; they never throw and never
-// return silently defaulted values.
+// return silently defaulted values.  Only skeletons, the one artifact that
+// is shipped and can arrive torn, also have a lenient prefix decoder.
 #pragma once
 
 #include <string>
@@ -49,35 +50,24 @@ Result<sig::Signature> decode_signature(
 Result<skeleton::Skeleton> decode_skeleton(
     std::string_view payload, std::uint32_t version = kSkeletonVersion);
 
-// ------------------------------------------------------- prefix decoding
+// ------------------------------------------------------ skeleton salvage
 //
-// Lenient decoders for the guard salvage layer: instead of rejecting a
-// truncated payload outright, they keep every *complete* unit decoded
-// before the first failure -- whole events for traces, whole ranks for
-// signatures/skeletons (a rank's loop forest is useless half-read).  They
-// still reject unknown payload versions.
+// A lenient skeleton decoder for the guard salvage layer: instead of
+// rejecting a truncated payload outright, it keeps every *whole* rank
+// decoded before the first failure (a rank's loop forest is useless
+// half-read).  It still rejects unknown payload versions and a damaged
+// skeleton header.
 
 struct PrefixStats {
-  /// True when the whole payload decoded and nothing was dropped.
-  bool complete = false;
   std::uint64_t ranks_expected = 0;
   std::uint64_t ranks_kept = 0;
-  /// Trace payloads only: per-rank declared event totals vs events kept.
-  std::uint64_t events_expected = 0;
-  std::uint64_t events_kept = 0;
   /// Payload bytes consumed by the kept prefix (diagnostic byte offset of
   /// the first dropped byte, relative to the payload start).
   std::size_t bytes_consumed = 0;
-  /// First decode failure, empty when complete.
+  /// Why decoding stopped short, empty when the whole payload decoded.
   std::string detail;
 };
 
-Result<trace::Trace> decode_trace_prefix(std::string_view payload,
-                                         std::uint32_t version,
-                                         PrefixStats& stats);
-Result<sig::Signature> decode_signature_prefix(std::string_view payload,
-                                               std::uint32_t version,
-                                               PrefixStats& stats);
 Result<skeleton::Skeleton> decode_skeleton_prefix(std::string_view payload,
                                                   std::uint32_t version,
                                                   PrefixStats& stats);

@@ -1,24 +1,21 @@
-// Recovery of truncated or torn trace / signature / skeleton data.
+// Recovery of truncated or torn skeletons.
 //
-// A crashed writer, a full disk, or a partial copy leaves bytes whose
-// prefix is perfectly good data.  The strict loaders reject them outright;
-// salvage_* instead recovers everything up to the last verifiable unit --
-// whole events for text traces, whole events/ranks for archive payloads --
-// and reports exactly what was kept and where the damage starts (line
-// number for text, byte offset for binary), so `--validate=salvage` can
-// proceed on the recovered prefix while telling the user what was lost.
-//
-// File salvage exists for skeletons only (`psk run --validate=salvage`);
-// traces, signatures and uploaded skeletons are salvaged from in-memory
-// bytes.
+// The skeleton is the artifact that is shipped to a target system, so it is
+// the one that can arrive damaged: as a `psk run --skeleton` file or as a
+// `pskd` upload.  (Traces and signatures are intermediate values that stay
+// in memory.)  A crashed writer, a full disk, or a partial copy leaves
+// bytes whose prefix is perfectly good data.  The strict loaders reject
+// them outright; salvage_* instead keeps every whole rank up to the first
+// damage and reports exactly what was kept and where the damage starts
+// (line number for text, byte offset for PSKARCH1), so
+// `--validate=salvage` can proceed on the recovered prefix while telling
+// the user what was lost.
 #pragma once
 
 #include <optional>
 #include <string>
 
-#include "sig/signature.h"
 #include "skeleton/skeleton.h"
-#include "trace/event.h"
 
 namespace psk::guard {
 
@@ -29,12 +26,9 @@ struct SalvageReport {
   bool recovered = false;
   /// True when the file was intact and no salvage was needed.
   bool clean = false;
-  /// Unit accounting: declared vs kept.  Events are tracked for traces
-  /// only; ranks for every kind.
+  /// Rank accounting: declared vs kept.
   std::uint64_t ranks_expected = 0;
   std::uint64_t ranks_kept = 0;
-  std::uint64_t events_expected = 0;
-  std::uint64_t events_kept = 0;
   /// Text inputs: 1-based line number of the first unusable line (0 when
   /// not applicable or the file was clean).
   std::size_t line = 0;
@@ -56,14 +50,10 @@ struct SalvageReport {
 std::optional<skeleton::Skeleton> salvage_skeleton_file(
     const std::string& path, SalvageReport& report);
 
-/// Salvage directly from an in-memory buffer.  These skip the strict
-/// fast-path (so an intact buffer is reported `recovered`, never `clean`)
-/// and never touch the filesystem; the fuzz harnesses use them to drive
-/// the lenient decoders with arbitrary bytes.  Nullopt as above.
-std::optional<trace::Trace> salvage_trace_bytes(const std::string& bytes,
-                                                SalvageReport& report);
-std::optional<sig::Signature> salvage_signature_bytes(const std::string& bytes,
-                                                      SalvageReport& report);
+/// Salvage directly from an in-memory buffer (a `pskd` upload).  It skips
+/// the strict fast-path (so an intact buffer is reported `recovered`, never
+/// `clean`) and never touches the filesystem; the fuzz harnesses use it to
+/// drive the lenient decoders with arbitrary bytes.  Nullopt as above.
 std::optional<skeleton::Skeleton> salvage_skeleton_bytes(
     const std::string& bytes, SalvageReport& report);
 

@@ -16,11 +16,10 @@ namespace {
 // Bounds on untrusted input: loop nests deeper than this are rejected
 // before the recursive reader can overflow the stack, corrupt count fields
 // cannot trigger huge up-front allocations, and the rank count is parsed as
-// an integer with a plausibility cap (a cast from a huge double would be
-// undefined behaviour).
+// an exact decimal with a plausibility cap.
 constexpr int kMaxNodeDepth = 256;
 constexpr std::size_t kReserveCap = 4096;
-constexpr std::uint64_t kMaxRanks = 1u << 16;
+constexpr std::size_t kMaxRanks = std::size_t{1} << 16;
 
 std::string format_double(double value) {
   std::array<char, 40> buf{};
@@ -232,16 +231,28 @@ Signature read_signature(std::istream& in) {
     if (fields.size() != 2 || fields[0] != "ranks") {
       throw FormatError("signature: missing ranks line");
     }
-    const std::uint64_t parsed = parse_u64(fields[1]);
-    if (parsed > kMaxRanks) {
-      throw FormatError("signature: implausible rank count " + fields[1]);
-    }
-    rank_count = static_cast<std::size_t>(parsed);
+    rank_count = parse_rank_count(fields[1]);
   }
   for (std::size_t r = 0; r < rank_count; ++r) {
     signature.ranks.push_back(reader.read_rank());
   }
   return signature;
+}
+
+std::size_t parse_rank_count(const std::string& text) {
+  const auto bad = [&text] {
+    return FormatError("bad ranks count '" + text +
+                       "' (want a decimal integer <= " +
+                       std::to_string(kMaxRanks) + ")");
+  };
+  if (text.empty()) throw bad();
+  std::size_t value = 0;
+  for (const char digit : text) {
+    if (digit < '0' || digit > '9') throw bad();
+    value = value * 10 + static_cast<std::size_t>(digit - '0');
+    if (value > kMaxRanks) throw bad();
+  }
+  return value;
 }
 
 Signature signature_from_string(const std::string& text) {

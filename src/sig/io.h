@@ -5,6 +5,7 @@
 // see skeleton/io.h.)
 #pragma once
 
+#include <cstddef>
 #include <iosfwd>
 #include <string>
 
@@ -18,6 +19,12 @@ std::string signature_to_string(const Signature& signature);
 /// Parses; throws FormatError on malformed input.
 Signature read_signature(std::istream& in);
 Signature signature_from_string(const std::string& text);
+
+/// Parses the count of a "ranks N" line, shared by the signature and
+/// skeleton readers and the skeleton salvor: decimal digits only, at most
+/// 1 << 16 (the archive codec's cap).  Throws FormatError on anything else,
+/// such as "-1", "0.5", "0x0" or "2garbage".
+std::size_t parse_rank_count(const std::string& text);
 
 void save_signature(const std::string& path, const Signature& signature);
 Signature load_signature(const std::string& path);

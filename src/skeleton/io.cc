@@ -84,8 +84,8 @@ Skeleton read_skeleton(std::istream& in) {
   skeleton.intended_time = number(scalar(next_line(), "intended"));
   skeleton.min_good_time = number(scalar(next_line(), "min_good"));
   skeleton.good = scalar(next_line(), "good") == "1";
-  const auto rank_count =
-      static_cast<std::size_t>(number(scalar(next_line(), "ranks")));
+  const std::size_t rank_count =
+      sig::parse_rank_count(scalar(next_line(), "ranks"));
 
   // Re-wrap the remaining rank blocks as a signature document and reuse its
   // parser.

@@ -94,7 +94,7 @@ void write_event(std::ostream& out, const TraceEvent& event) {
   out << "\n";
 }
 
-TraceEvent parse_event_impl(const std::string& line) {
+TraceEvent parse_event_line(const std::string& line) {
   const auto fields = split(line, ' ');
   if (fields.size() != 14 || fields[0] != "E") {
     throw FormatError("trace: malformed event line: " + line);
@@ -133,10 +133,6 @@ TraceEvent parse_event_impl(const std::string& line) {
 }
 
 }  // namespace
-
-TraceEvent parse_trace_event_line(const std::string& line) {
-  return parse_event_impl(line);
-}
 
 void write_trace(std::ostream& out, const Trace& trace) {
   out << "psk-trace 1\n";
@@ -194,7 +190,7 @@ Trace read_trace(std::istream& in) {
     const std::size_t event_count = parse_u64(fields[4]);
     rank.events.reserve(std::min(event_count, kReserveCap));
     for (std::size_t e = 0; e < event_count; ++e) {
-      rank.events.push_back(parse_event_impl(next_line()));
+      rank.events.push_back(parse_event_line(next_line()));
     }
     trace.ranks.push_back(std::move(rank));
   }

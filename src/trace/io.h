@@ -18,11 +18,6 @@ std::string trace_to_string(const Trace& trace);
 Trace read_trace(std::istream& in);
 Trace trace_from_string(const std::string& text);
 
-/// Parses one "E ..." event line of the text format; throws FormatError.
-/// Exposed for the guard salvage layer, which re-parses truncated documents
-/// line by line to keep every event up to the first unparsable one.
-TraceEvent parse_trace_event_line(const std::string& line);
-
 /// File convenience wrappers for the text format.  Compact files are
 /// PSKARCH1 archives (archive/archive.h), whose load_trace falls back to
 /// this one for text.

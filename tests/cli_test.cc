@@ -11,7 +11,9 @@
 #include <sstream>
 #include <string>
 
+#include "archive/archive.h"
 #include "gtest/gtest.h"
+#include "skeleton/io.h"
 
 namespace {
 
@@ -170,6 +172,52 @@ TEST(CliArchive, BinaryTraceFeedsCompress) {
       << compressed.stdout_text;
   std::remove((stem + ".trace").c_str());
   std::remove((stem + ".sig").c_str());
+}
+
+TEST(CliArchive, ArchiveSkeletonRunsUnderEveryValidateMode) {
+  // A PSKARCH1 skeleton (archive::save) loads through the archive loader in
+  // every command that reads skeletons, not only under --validate=salvage,
+  // and replays exactly as its text twin does.
+  const std::string stem = testing::TempDir() + "/cli_archive_skel_" +
+                           std::to_string(::getpid());
+  const CommandResult traced =
+      run_psk("trace --app=MG --class=S --out=" + stem + ".trace");
+  ASSERT_EQ(traced.exit_code, 0) << traced.stderr_text;
+  const CommandResult built = run_psk("skeleton --trace=" + stem +
+                                      ".trace --target=0.2 --out=" + stem +
+                                      ".skel");
+  ASSERT_EQ(built.exit_code, 0) << built.stderr_text;
+  ASSERT_TRUE(
+      psk::archive::save(stem + ".pskarch",
+                         psk::skeleton::load_skeleton(stem + ".skel"))
+          .ok());
+  const CommandResult text_run = run_psk("run --skeleton=" + stem + ".skel");
+  ASSERT_EQ(text_run.exit_code, 0) << text_run.stderr_text;
+  for (const char* mode : {"strict", "salvage", "off"}) {
+    const CommandResult run = run_psk("run --skeleton=" + stem +
+                                      ".pskarch --validate=" + mode);
+    EXPECT_EQ(run.exit_code, 0) << mode << ": " << run.stderr_text;
+    EXPECT_EQ(run.stdout_text, text_run.stdout_text) << mode;
+  }
+  const CommandResult info = run_psk("info --skeleton=" + stem + ".pskarch");
+  EXPECT_EQ(info.exit_code, 0) << info.stderr_text;
+  EXPECT_NE(info.stdout_text.find("skeleton of 'MG'"), std::string::npos)
+      << info.stdout_text;
+  const CommandResult emitted = run_psk("codegen --skeleton=" + stem +
+                                        ".pskarch --out=" + stem + ".c");
+  EXPECT_EQ(emitted.exit_code, 0) << emitted.stderr_text;
+  // A missing skeleton or signature is an input error (exit 2), as a
+  // missing trace is.
+  for (const char* command : {"run --skeleton=", "codegen --out=/dev/null "
+                              "--skeleton=", "info --signature="}) {
+    const CommandResult missing = run_psk(command + stem + ".none");
+    ASSERT_TRUE(WIFEXITED(missing.exit_code)) << command;
+    EXPECT_EQ(WEXITSTATUS(missing.exit_code), 2)
+        << command << ": " << missing.stderr_text;
+  }
+  for (const char* suffix : {".trace", ".skel", ".pskarch", ".c"}) {
+    std::remove((stem + suffix).c_str());
+  }
 }
 
 TEST(CliHardening, BenchBinaryRejectsTypoFlag) {

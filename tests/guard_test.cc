@@ -1,5 +1,5 @@
 // Tests for psk::guard: deterministic deadlock detection, semantic
-// validation, salvage of damaged files -- plus the robustness satellites
+// validation, salvage of damaged skeletons -- plus the robustness satellites
 // that ride with them (cache disk-failure degradation, journal replay
 // accounting).
 #include <gtest/gtest.h>
@@ -20,13 +20,11 @@
 #include "mpi/world.h"
 #include "obs/metrics.h"
 #include "runner/journal.h"
-#include "sig/io.h"
 #include "sig/signature.h"
 #include "sim/machine.h"
 #include "skeleton/io.h"
 #include "skeleton/skeleton.h"
 #include "trace/event.h"
-#include "trace/io.h"
 #include "util/error.h"
 
 namespace psk {
@@ -307,6 +305,27 @@ TEST(Validate, SkeletonScalingFactorBelowOneIsAnError) {
 
 // ---------------------------------------------------------------- salvage
 
+skeleton::Skeleton two_rank_skeleton() {
+  skeleton::Skeleton skeleton;
+  skeleton.app_name = "k";
+  skeleton.scaling_factor = 2.0;
+  skeleton.ranks = tiny_signature().ranks;
+  sig::RankSignature second = skeleton.ranks[0];
+  second.rank = 1;
+  skeleton.ranks.push_back(second);
+  return skeleton;
+}
+
+std::string read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+/// The text header every skeleton document starts with, up to "ranks".
+const char* const kSkeletonHead =
+    "psk-skeleton 1\napp x\nk 1\nintended 1\nmin_good 1\ngood 1\n";
+
 TEST(Salvage, CleanSkeletonFileIsClean) {
   ScratchDir dir("salvage_clean");
   const std::string path = dir.file("k.skel");
@@ -323,101 +342,94 @@ TEST(Salvage, CleanSkeletonFileIsClean) {
   EXPECT_EQ(salvaged->rank_count(), 1);
 }
 
-TEST(Salvage, TruncatedTextTraceKeepsEventPrefix) {
-  trace::Trace trace = matched_pair_trace();
-  // Give rank 1 a second event so truncating mid-line drops exactly it.
-  trace.ranks[1].events.push_back(trace.ranks[1].events[0]);
-  const std::string text = trace::trace_to_string(trace);
-  // Cut inside the last event line.
+TEST(Salvage, TruncatedArchiveKeepsDecodedPrefix) {
+  ScratchDir dir("salvage_arch");
+  const std::string path = dir.file("k.pskarch");
+  ASSERT_TRUE(archive::save(path, two_rank_skeleton()).ok());
+  // Drop the checksum trailer and a little payload: the strict loader
+  // refuses the file, salvage keeps the whole first rank.
+  const std::string bytes = read_bytes(path);
+  const std::string torn = bytes.substr(0, bytes.size() - 12);
   guard::SalvageReport report;
-  const auto salvaged =
-      guard::salvage_trace_bytes(text.substr(0, text.size() - 10), report);
+  const auto salvaged = guard::salvage_skeleton_bytes(torn, report);
   ASSERT_TRUE(salvaged.has_value());
   EXPECT_FALSE(report.clean);
   EXPECT_TRUE(report.recovered);
-  EXPECT_EQ(report.events_kept + 1, report.events_expected);
-  EXPECT_GT(report.line, 0u);  // text diagnostics carry a line number
-  EXPECT_EQ(salvaged->event_count(), trace.event_count() - 1);
+  EXPECT_EQ(report.ranks_expected, 2u);
+  EXPECT_EQ(report.ranks_kept, 1u);
+  EXPECT_EQ(salvaged->rank_count(), 1);
+  EXPECT_EQ(salvaged->app_name, "k");
+  // Binary diagnostics carry the offset where the dropped rank starts.
+  EXPECT_GT(report.byte_offset, archive::kHeaderSize);
+  EXPECT_LT(report.byte_offset, torn.size());
+  EXPECT_EQ(report.line, 0u);
+  // The file salvor reaches the same prefix after the strict load fails.
+  write_file(path, torn);
+  guard::SalvageReport file_report;
+  const auto from_file = guard::salvage_skeleton_file(path, file_report);
+  ASSERT_TRUE(from_file.has_value());
+  EXPECT_FALSE(file_report.clean);
+  EXPECT_EQ(file_report.ranks_kept, 1u);
+  EXPECT_EQ(file_report.byte_offset, report.byte_offset);
 }
 
-TEST(Salvage, TruncatedArchiveKeepsDecodedPrefix) {
-  ScratchDir dir("salvage_arch");
-  const std::string path = dir.file("t.pskarch");
-  ASSERT_TRUE(archive::save(path, matched_pair_trace()).ok());
-  std::ifstream in(path, std::ios::binary);
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  // Drop the checksum trailer and a little payload: strict load fails,
-  // salvage decodes the surviving whole events.
+TEST(Salvage, TornSkeletonDropsWholeRanks) {
+  ScratchDir dir("salvage_text");
+  const std::string path = dir.file("k.skel");
+  const std::string text = skeleton::skeleton_to_string(two_rank_skeleton());
+  write_file(path, text.substr(0, text.size() - 5));
   guard::SalvageReport report;
-  const auto salvaged =
-      guard::salvage_trace_bytes(bytes.substr(0, bytes.size() - 12), report);
-  ASSERT_TRUE(salvaged.has_value());
-  EXPECT_FALSE(report.clean);
-  EXPECT_GT(report.byte_offset, 0u);  // binary diagnostics carry an offset
-  EXPECT_LT(salvaged->event_count(), matched_pair_trace().event_count() + 1);
-}
-
-TEST(Salvage, TornSignatureDropsWholeRanks) {
-  sig::Signature signature = tiny_signature();
-  sig::RankSignature second = signature.ranks[0];
-  second.rank = 1;
-  signature.ranks.push_back(second);
-  const std::string text = sig::signature_to_string(signature);
-  guard::SalvageReport report;
-  const auto salvaged =
-      guard::salvage_signature_bytes(text.substr(0, text.size() - 5), report);
+  const auto salvaged = guard::salvage_skeleton_file(path, report);
   ASSERT_TRUE(salvaged.has_value());
   EXPECT_FALSE(report.clean);
   EXPECT_EQ(report.ranks_expected, 2u);
   EXPECT_EQ(report.ranks_kept, 1u);
   EXPECT_EQ(salvaged->rank_count(), 1);
-  EXPECT_NE(report.render().find("rank"), std::string::npos);
+  EXPECT_GT(report.line, 0u);  // text diagnostics carry a line number
+  EXPECT_NE(report.render().find("salvaged 1 of 2 rank(s)"), std::string::npos)
+      << report.render();
 }
 
 TEST(Salvage, RanksLineTornBeforeCountIsRejected) {
   // Bytes torn exactly mid-"ranks N" leave "ranks " with no count field;
   // salvage must diagnose it, not index past the end of the split fields.
   guard::SalvageReport report;
-  EXPECT_FALSE(guard::salvage_signature_bytes(
-                   "psk-signature 1\napp x\nthreshold 0.1\nratio 1\nranks ",
-                   report)
+  EXPECT_FALSE(guard::salvage_skeleton_bytes(std::string(kSkeletonHead) +
+                                                 "ranks ",
+                                             report)
                    .has_value());
   EXPECT_FALSE(report.recovered);
+  EXPECT_EQ(report.line, 7u);
   EXPECT_NE(report.detail.find("bad ranks count"), std::string::npos)
       << report.render();
 }
 
 TEST(Salvage, ImplausibleRanksCountIsRejected) {
-  // stoull would wrap "ranks -1" to 2^64-1; both text salvors must refuse
-  // it instead of reporting absurd expectations.
-  guard::SalvageReport report;
-  EXPECT_FALSE(guard::salvage_signature_bytes(
-                   "psk-signature 1\napp x\nthreshold 0.1\nratio 1\nranks -1\n",
-                   report)
-                   .has_value());
-  EXPECT_NE(report.detail.find("bad ranks count"), std::string::npos)
-      << report.render();
-  EXPECT_EQ(report.ranks_expected, 0u);
-  EXPECT_FALSE(
-      guard::salvage_trace_bytes("psk-trace 1\napp x\nranks -1\n", report)
-          .has_value());
-  EXPECT_NE(report.detail.find("bad ranks count"), std::string::npos)
-      << report.render();
-  EXPECT_EQ(report.ranks_expected, 0u);
+  // The salvor parses "ranks N" with the readers' own exact decimal parser:
+  // a negative, fractional, hex, suffixed or oversized count is refused
+  // instead of reporting absurd expectations.
+  for (const char* count : {"-1", "0.5", "1e300", "0x0", "2garbage", "65537"}) {
+    guard::SalvageReport report;
+    EXPECT_FALSE(guard::salvage_skeleton_bytes(
+                     std::string(kSkeletonHead) + "ranks " + count + "\n",
+                     report)
+                     .has_value())
+        << count;
+    EXPECT_NE(report.detail.find("bad ranks count"), std::string::npos)
+        << count << ": " << report.render();
+    EXPECT_EQ(report.ranks_expected, 0u) << count;
+  }
 }
 
-TEST(Salvage, BytesEntryPointRecoversTornSignature) {
-  sig::Signature signature = tiny_signature();
-  sig::RankSignature second = signature.ranks[0];
-  second.rank = 1;
-  signature.ranks.push_back(second);
-  const std::string text = sig::signature_to_string(signature);
+TEST(Salvage, BytesEntryPointRecoversTornSkeleton) {
+  const std::string text = skeleton::skeleton_to_string(two_rank_skeleton());
   guard::SalvageReport report;
   const auto salvaged =
-      guard::salvage_signature_bytes(text.substr(0, text.size() - 5), report);
+      guard::salvage_skeleton_bytes(text.substr(0, text.size() - 5), report);
   ASSERT_TRUE(salvaged.has_value());
   EXPECT_TRUE(report.recovered);
+  EXPECT_FALSE(report.clean);  // the bytes entry point has no strict path
+  EXPECT_EQ(report.path, "<memory>");
   EXPECT_EQ(report.ranks_kept, 1u);
   EXPECT_EQ(salvaged->rank_count(), 1);
 }
@@ -425,9 +437,30 @@ TEST(Salvage, BytesEntryPointRecoversTornSignature) {
 TEST(Salvage, HopelessFileReturnsNullopt) {
   guard::SalvageReport report;
   EXPECT_FALSE(
-      guard::salvage_trace_bytes("not even close\n", report).has_value());
+      guard::salvage_skeleton_bytes("not even close\n", report).has_value());
   EXPECT_FALSE(report.recovered);
   EXPECT_FALSE(report.detail.empty());
+  // A PSKARCH1 header torn before its end, and a whole archive of another
+  // kind: nothing to keep, and the report says why.
+  std::string archived;
+  archive::write_frame(archived, archive::PayloadKind::kSkeleton,
+                       archive::kSkeletonVersion, "");
+  EXPECT_FALSE(guard::salvage_skeleton_bytes(archived.substr(0, 20), report)
+                   .has_value());
+  EXPECT_FALSE(report.recovered);
+  EXPECT_NE(report.detail.find("truncated"), std::string::npos)
+      << report.render();
+  std::string trace_bytes;
+  std::string payload;
+  archive::encode(payload, matched_pair_trace());
+  archive::write_frame(trace_bytes, archive::PayloadKind::kTrace,
+                       archive::kTraceVersion, payload);
+  EXPECT_FALSE(
+      guard::salvage_skeleton_bytes(trace_bytes, report).has_value());
+  EXPECT_FALSE(report.recovered);
+  EXPECT_NE(report.detail.find("holds a trace, not a skeleton"),
+            std::string::npos)
+      << report.render();
 }
 
 TEST(Salvage, MissingFileStillThrows) {

@@ -143,6 +143,35 @@ TEST(SkeletonIo, RejectsBadInput) {
                FormatError);
 }
 
+TEST(SkeletonIo, RanksCountMustBeExactDecimal) {
+  // One parser serves the signature and skeleton "ranks N" lines (and the
+  // skeleton salvor): only plain decimals up to 1 << 16.  The skeleton
+  // reader used to read the count as a double and cast it to size_t, so
+  // "0.5", "1e300" and "0x0" loaded as empty skeletons ("1e300" and "-1"
+  // through an undefined cast), and the signature reader took "2garbage"
+  // as 2.
+  const std::string skeleton_head =
+      "psk-skeleton 1\napp x\nk 1\nintended 1\nmin_good 1\ngood 1\n";
+  const std::string signature_head =
+      "psk-signature 1\napp x\nthreshold 0\nratio 1\n";
+  for (const char* count : {"-1", "0.5", "1e300", "0x0", "2garbage", "65537"}) {
+    EXPECT_THROW(sig::parse_rank_count(count), FormatError) << count;
+    EXPECT_THROW(skeleton::skeleton_from_string(skeleton_head + "ranks " +
+                                                count + "\n"),
+                 FormatError)
+        << count;
+    EXPECT_THROW(sig::signature_from_string(signature_head + "ranks " +
+                                            count + "\n"),
+                 FormatError)
+        << count;
+  }
+  EXPECT_EQ(sig::parse_rank_count("0"), 0u);
+  EXPECT_EQ(sig::parse_rank_count("65536"), 65536u);
+  EXPECT_EQ(skeleton::skeleton_from_string(skeleton_head + "ranks 0\n")
+                .ranks.size(),
+            0u);
+}
+
 TEST(SignatureIo, DistributionFieldsSurviveRoundTrip) {
   sig::Signature signature;
   signature.app_name = "dist";

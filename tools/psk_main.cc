@@ -95,8 +95,8 @@ int usage() {
       "incremental flow core that scales to thousands of ranks).\n"
       "run/predict/report accept --validate=strict|salvage|off (default\n"
       "strict): strict refuses semantically broken input, salvage recovers\n"
-      "what it can from truncated files and downgrades validation errors to\n"
-      "warnings, off skips the checks.\n"
+      "what it can from truncated skeleton files and downgrades validation\n"
+      "errors to warnings, off skips the checks.\n"
       "exit codes: 1 usage/configuration, 2 validation/format, 3 runtime\n"
       "(simulation failure, deadlock, timeout).\n");
   return 1;
@@ -111,10 +111,10 @@ ValidateMode validate_mode(const util::Cli& cli) {
   return svc::parse_validate_mode(cli.get("validate", "strict"));
 }
 
-/// Loads a skeleton honouring --validate: strict refuses both unparsable
-/// and semantically broken files; salvage recovers the intact prefix of a
-/// truncated file and downgrades validation errors to warnings; off loads
-/// with no checks beyond the parser's own.
+/// Loads a skeleton (PSKARCH1 or text) honouring --validate: strict refuses
+/// both unparsable and semantically broken files; salvage recovers the
+/// intact prefix of a truncated file and downgrades validation errors to
+/// warnings; off loads with no checks beyond the parser's own.
 skeleton::Skeleton load_skeleton_checked(const std::string& path,
                                          ValidateMode mode) {
   if (mode == ValidateMode::kSalvage) {
@@ -132,7 +132,7 @@ skeleton::Skeleton load_skeleton_checked(const std::string& path,
     }
     return *std::move(value);
   }
-  skeleton::Skeleton skeleton = skeleton::load_skeleton(path);
+  skeleton::Skeleton skeleton = archive::load_skeleton(path).or_throw();
   if (mode == ValidateMode::kStrict) {
     guard::require_valid(guard::validate_skeleton(skeleton));
   }
@@ -235,7 +235,7 @@ int cmd_skeleton(const util::Cli& cli) {
 
 int cmd_codegen(const util::Cli& cli) {
   const skeleton::Skeleton skeleton =
-      skeleton::load_skeleton(require_flag(cli, "skeleton"));
+      archive::load_skeleton(require_flag(cli, "skeleton")).or_throw();
   const std::string out = require_flag(cli, "out");
   codegen::write_c_program(out, skeleton);
   std::printf("emitted %s (compile: mpicc -O2 %s; run with %d ranks)\n",
@@ -404,7 +404,7 @@ int cmd_info(const util::Cli& cli) {
   }
   if (cli.has("signature")) {
     const sig::Signature signature =
-        sig::load_signature(cli.get("signature", ""));
+        archive::load_signature(cli.get("signature", "")).or_throw();
     std::printf("signature of '%s': %d ranks, %zu leaves, ratio %.1fx, "
                 "threshold %.2f\n",
                 signature.app_name.c_str(), signature.rank_count(),
@@ -416,7 +416,7 @@ int cmd_info(const util::Cli& cli) {
   }
   if (cli.has("skeleton")) {
     const skeleton::Skeleton skeleton =
-        skeleton::load_skeleton(cli.get("skeleton", ""));
+        archive::load_skeleton(cli.get("skeleton", "")).or_throw();
     const skeleton::ConsistencyReport report =
         skeleton::check_consistency(skeleton);
     std::printf("skeleton of '%s': K=%.1f, intended %.3f s, min good %.3f s, "
