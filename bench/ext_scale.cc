@@ -5,8 +5,10 @@
 // the *host* cost per simulated rank.  This is the scaling story of the
 // incremental per-link flow core: on hierarchical topologies the host time
 // per event stays O(affected flows), so total host time grows near-linearly
-// with rank count, where the dense crossbar core (kept for byte-identical
-// paper results) re-rates every flow on every event and goes quadratic.
+// with rank count.  The dense crossbar core (kept for byte-identical paper
+// results) makes one pass over every in-flight flow per event -- it keeps
+// its per-link counts and shares across events, but the pass itself is
+// O(flows) -- so its host time per rank grows with the world size.
 //
 // Flags (beyond nothing -- this bench does not use the skeleton pipeline):
 //   --ranks=64,256,1024     world sizes to sweep
@@ -128,9 +130,9 @@ int main(int argc, char** argv) {
           growth = util::fixed(host_ratio, 2) + "x (ranks " +
                    util::fixed(rank_ratio, 0) + "x)";
           // Sub-quadratic check: host growth strictly below rank_ratio^2.
-          // Crossbar runs the dense (byte-identical legacy) core, which is
-          // expected to go quadratic -- it is the contrast line, not a
-          // scaling claim, so it is exempt.
+          // Crossbar runs the dense (byte-identical) core, whose per-event
+          // pass over all flows can approach quadratic growth -- it is the
+          // contrast line, not a scaling claim, so it is exempt.
           if (!topology.is_crossbar() &&
               host_ratio >= rank_ratio * rank_ratio) {
             subquadratic = false;

@@ -120,6 +120,12 @@ int main(int argc, char** argv) {
   write_file(root + "/trace_text/empty.trace", "");
   write_file(root + "/trace_text/negative_ranks.trace",
              "psk-trace 1\napp x\nranks -1\n");
+  // Counts with a trailing suffix or a base prefix, once read as far as
+  // they parsed.
+  write_file(root + "/trace_text/suffixed_counts.trace",
+             "psk-trace 1\napp x\nranks 0garbage\n");
+  write_file(root + "/trace_text/hex_rank_id.trace",
+             "psk-trace 1\napp x\nranks 1\nrank 0x 1.0 0.5 0\n");
 
   // ------------------------------------------------------- signature text
   const std::string sig_text = sig::signature_to_string(sample_signature());

@@ -2,12 +2,15 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <vector>
 
 #include "util/error.h"
+#include "util/format.h"
 
 namespace psk::sig {
 
@@ -245,14 +248,10 @@ std::size_t parse_rank_count(const std::string& text) {
                        "' (want a decimal integer <= " +
                        std::to_string(kMaxRanks) + ")");
   };
-  if (text.empty()) throw bad();
-  std::size_t value = 0;
-  for (const char digit : text) {
-    if (digit < '0' || digit > '9') throw bad();
-    value = value * 10 + static_cast<std::size_t>(digit - '0');
-    if (value > kMaxRanks) throw bad();
-  }
-  return value;
+  const std::optional<std::uint64_t> value =
+      util::parse_decimal(text, kMaxRanks);
+  if (!value) throw bad();
+  return static_cast<std::size_t>(*value);
 }
 
 Signature signature_from_string(const std::string& text) {

@@ -21,8 +21,8 @@ Signature read_signature(std::istream& in);
 Signature signature_from_string(const std::string& text);
 
 /// Parses the count of a "ranks N" line, shared by the signature and
-/// skeleton readers and the skeleton salvor: decimal digits only, at most
-/// 1 << 16 (the archive codec's cap).  Throws FormatError on anything else,
+/// skeleton readers and the skeleton salvor: util::parse_decimal with a cap
+/// of 1 << 16 (the archive codec's).  Throws FormatError on anything else,
 /// such as "-1", "0.5", "0x0" or "2garbage".
 std::size_t parse_rank_count(const std::string& text);
 

@@ -21,6 +21,8 @@ Network::Network(Engine& engine, const NetworkConfig& config)
            !config.topology.is_crossbar())),
       cap_(static_cast<std::size_t>(topo_.link_count()), config.bandwidth_bps),
       lfault_(static_cast<std::size_t>(topo_.link_count()), 0),
+      link_active_(static_cast<std::size_t>(topo_.link_count()), 0),
+      share_(static_cast<std::size_t>(topo_.link_count()), 0.0),
       node_fault_depth_(static_cast<std::size_t>(config.node_count), 0) {
   util::require(config.node_count >= 1, "Network: need at least one node");
   util::require(config.bandwidth_bps > 0,
@@ -31,7 +33,6 @@ Network::Network(Engine& engine, const NetworkConfig& config)
                 "Network: latency must be non-negative");
   if (incremental_) {
     link_flows_.resize(static_cast<std::size_t>(topo_.link_count()));
-    link_active_.assign(static_cast<std::size_t>(topo_.link_count()), 0);
   }
 }
 
@@ -56,6 +57,22 @@ bool Network::path_faulted(const LinkPath& path) const {
   return false;
 }
 
+void Network::link_join(LinkId link) {
+  ++link_active_[static_cast<std::size_t>(link)];
+  refresh_share(link);
+}
+
+void Network::link_leave(LinkId link) {
+  --link_active_[static_cast<std::size_t>(link)];
+  refresh_share(link);
+}
+
+void Network::refresh_share(LinkId link) {
+  const auto l = static_cast<std::size_t>(link);
+  // An idle link's share is never read; it is refreshed when a flow joins.
+  if (link_active_[l] > 0) share_[l] = cap_[l] / link_active_[l];
+}
+
 // --- Link-addressed API ----------------------------------------------------
 
 double Network::link_capacity(LinkId link) const {
@@ -66,13 +83,14 @@ double Network::link_capacity(LinkId link) const {
 void Network::set_link_capacity(LinkId link, double bandwidth_bps) {
   check_link(link);
   util::require(bandwidth_bps > 0, "Network: bandwidth must be positive");
+  // Settling reads rates only, so the new capacity can land first.
+  cap_[static_cast<std::size_t>(link)] = bandwidth_bps;
+  refresh_share(link);
   if (!incremental_) {
     sync();
-    cap_[static_cast<std::size_t>(link)] = bandwidth_bps;
     rerate();
     return;
   }
-  cap_[static_cast<std::size_t>(link)] = bandwidth_bps;
   inc_links_changed(&link, &link + 1);
 }
 
@@ -81,6 +99,7 @@ void Network::push_fault_on(LinkId link) {
   if (!incremental_) {
     sync();
     ++lfault_[static_cast<std::size_t>(link)];
+    recount();
     rerate();
     return;
   }
@@ -116,6 +135,7 @@ void Network::pop_fault_on(LinkId link) {
   if (!incremental_) {
     sync();
     --lfault_[static_cast<std::size_t>(link)];
+    recount();
     rerate();
     return;
   }
@@ -161,16 +181,16 @@ void Network::set_link_bandwidth(int node, double bandwidth_bps) {
   util::require(bandwidth_bps > 0, "Network: bandwidth must be positive");
   const LinkId up = topo_.uplink(node);
   const LinkId down = topo_.downlink(node);
+  cap_[static_cast<std::size_t>(up)] = bandwidth_bps;
+  cap_[static_cast<std::size_t>(down)] = bandwidth_bps;
+  refresh_share(up);
+  refresh_share(down);
   if (!incremental_) {
     // One settle/re-rate pass for both directions.
     sync();
-    cap_[static_cast<std::size_t>(up)] = bandwidth_bps;
-    cap_[static_cast<std::size_t>(down)] = bandwidth_bps;
     rerate();
     return;
   }
-  cap_[static_cast<std::size_t>(up)] = bandwidth_bps;
-  cap_[static_cast<std::size_t>(down)] = bandwidth_bps;
   const LinkId links[2] = {up, down};
   inc_links_changed(links, links + 2);
 }
@@ -204,6 +224,7 @@ void Network::push_link_fault(int node) {
     ++lfault_[static_cast<std::size_t>(down)];
     ++node_fault_depth_[static_cast<std::size_t>(node)];
     node_fault_span_begin(node);
+    recount();
     rerate();
     return;
   }
@@ -225,6 +246,7 @@ void Network::pop_link_fault(int node) {
     --lfault_[static_cast<std::size_t>(down)];
     --node_fault_depth_[static_cast<std::size_t>(node)];
     node_fault_span_end(node);
+    recount();
     rerate();
     return;
   }
@@ -286,13 +308,34 @@ void Network::transfer(int src, int dst, std::uint64_t bytes,
 // an arbitrary link path.  On the crossbar the per-link counters and the
 // min-accumulation over {uplink(src), downlink(dst)} perform the exact same
 // floating-point operations in the same order as the original
-// min(up/out, down/in), keeping results byte-identical.
+// min(up/out, down/in), keeping results byte-identical.  The counts and
+// shares are kept up to date as flows come and go, so an event recomputes
+// no per-link state; a cached share is the same quotient cap / count the
+// seed divided out per flow.
 
 void Network::admit(Flow flow) {
   sync();
+  flow.paused = path_faulted(flow.path);
+  if (!flow.paused) {
+    for (LinkId link : flow.path) link_join(link);
+  }
   flows_.push_back(std::move(flow));
   observe_flows();
   rerate();
+}
+
+void Network::recount() {
+  std::fill(link_active_.begin(), link_active_.end(), 0);
+  for (Flow& flow : flows_) {
+    // Paused flows (any link on the path is faulted) progress at rate zero
+    // and release their share of the healthy links to active traffic.
+    flow.paused = path_faulted(flow.path);
+    if (flow.paused) continue;
+    for (LinkId link : flow.path) {
+      ++link_active_[static_cast<std::size_t>(link)];
+    }
+  }
+  for (LinkId link = 0; link < topo_.link_count(); ++link) refresh_share(link);
 }
 
 void Network::sync() {
@@ -315,28 +358,15 @@ void Network::rerate() {
   pending_.cancel();
   if (flows_.empty()) return;
 
-  // Paused flows (any link on the path is faulted) progress at rate zero
-  // and release their share of the healthy links to active traffic.
-  const auto paused = [this](const Flow& flow) {
-    return path_faulted(flow.path);
-  };
-
-  std::vector<int> use(static_cast<std::size_t>(topo_.link_count()), 0);
-  for (const Flow& flow : flows_) {
-    if (paused(flow)) continue;
-    for (LinkId link : flow.path) ++use[static_cast<std::size_t>(link)];
-  }
-
   Time min_eta = std::numeric_limits<Time>::infinity();
   for (Flow& flow : flows_) {
-    if (paused(flow)) {
+    if (flow.paused) {
       flow.rate = 0.0;
       continue;
     }
     double rate = std::numeric_limits<double>::infinity();
     for (LinkId link : flow.path) {
-      rate = std::min(rate, cap_[static_cast<std::size_t>(link)] /
-                                use[static_cast<std::size_t>(link)]);
+      rate = std::min(rate, share_[static_cast<std::size_t>(link)]);
     }
     flow.rate = rate;
     const Time eta = std::max(0.0, flow.remaining) / flow.rate;
@@ -371,20 +401,29 @@ void Network::on_completion_event() {
   // small control message early reorders events.
   const Time clock_ulp =
       std::max(engine_.now() * 1e-12, std::numeric_limits<Time>::min());
-  std::vector<std::function<void()>> finished;
-  auto it = flows_.begin();
-  while (it != flows_.end()) {
-    if (it->rate > 0 &&
-        it->remaining <= min_remaining + it->rate * clock_ulp) {
-      finished.push_back(std::move(it->on_complete));
-      it = flows_.erase(it);
+  std::vector<std::function<void()>> finished = std::move(finished_);
+  finished.clear();
+  // Stable compaction: survivors keep admission order, and callbacks fire
+  // in it.
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < flows_.size(); ++i) {
+    Flow& flow = flows_[i];
+    if (flow.rate > 0 &&
+        flow.remaining <= min_remaining + flow.rate * clock_ulp) {
+      finished.push_back(std::move(flow.on_complete));
+      for (LinkId link : flow.path) link_leave(link);
     } else {
-      ++it;
+      if (kept != i) flows_[kept] = std::move(flow);
+      ++kept;
     }
   }
+  flows_.erase(flows_.begin() + static_cast<std::ptrdiff_t>(kept),
+               flows_.end());
   observe_flows();
   rerate();
   for (auto& callback : finished) callback();
+  finished.clear();
+  finished_ = std::move(finished);
 }
 
 // --- Incremental core --------------------------------------------------------
@@ -392,7 +431,8 @@ void Network::on_completion_event() {
 // byte count was last up to date, and only flows whose rate actually changes
 // get settled and re-rated.  The affected set of any change is the union of
 // flows crossing the touched links, deduplicated with an epoch mark; flow
-// completions come from an ordered (ETA, id) set, so each event costs
+// completions come from a binary heap ordered by (ETA, id), updated in place
+// through each flow's heap position, so each event costs
 // O(affected * log flows) instead of O(all flows).
 
 void Network::inc_settle(IncFlow& flow) {
@@ -413,21 +453,73 @@ void Network::inc_rerate_flow(int id) {
   if (flow.faulted_links == 0) {
     rate = std::numeric_limits<double>::infinity();
     for (LinkId link : flow.path) {
-      // The flow counts itself on each of its links, so the divisor >= 1.
-      rate = std::min(rate, cap_[static_cast<std::size_t>(link)] /
-                                link_active_[static_cast<std::size_t>(link)]);
+      // The flow counts itself on each of its links, so every share is set.
+      rate = std::min(rate, share_[static_cast<std::size_t>(link)]);
     }
   }
   flow.rate = rate;
-  if (flow.in_eta) {
-    eta_.erase({flow.eta, id});
-    flow.in_eta = false;
-  }
   if (rate > 0.0) {
     flow.eta = engine_.now() + std::max(0.0, flow.remaining) / rate;
-    eta_.insert({flow.eta, id});
-    flow.in_eta = true;
+    eta_set(id);
+  } else {
+    eta_erase(id);
   }
+}
+
+void Network::eta_place(std::size_t pos, EtaEntry entry) {
+  eta_heap_[pos] = entry;
+  pool_[static_cast<std::size_t>(entry.id)].heap_pos =
+      static_cast<std::int32_t>(pos);
+}
+
+std::size_t Network::eta_sift_up(std::size_t pos) {
+  const EtaEntry entry = eta_heap_[pos];
+  while (pos > 0) {
+    const std::size_t parent = (pos - 1) / 2;
+    if (!(entry < eta_heap_[parent])) break;
+    eta_place(pos, eta_heap_[parent]);
+    pos = parent;
+  }
+  eta_place(pos, entry);
+  return pos;
+}
+
+void Network::eta_sift_down(std::size_t pos) {
+  const EtaEntry entry = eta_heap_[pos];
+  const std::size_t size = eta_heap_.size();
+  for (;;) {
+    std::size_t child = 2 * pos + 1;
+    if (child >= size) break;
+    if (child + 1 < size && eta_heap_[child + 1] < eta_heap_[child]) ++child;
+    if (!(eta_heap_[child] < entry)) break;
+    eta_place(pos, eta_heap_[child]);
+    pos = child;
+  }
+  eta_place(pos, entry);
+}
+
+void Network::eta_set(int id) {
+  const IncFlow& flow = pool_[static_cast<std::size_t>(id)];
+  if (flow.heap_pos < 0) {
+    eta_heap_.push_back({flow.eta, id});
+    eta_sift_up(eta_heap_.size() - 1);
+    return;
+  }
+  const auto pos = static_cast<std::size_t>(flow.heap_pos);
+  eta_heap_[pos].eta = flow.eta;
+  eta_sift_down(eta_sift_up(pos));
+}
+
+void Network::eta_erase(int id) {
+  IncFlow& flow = pool_[static_cast<std::size_t>(id)];
+  if (flow.heap_pos < 0) return;
+  const auto pos = static_cast<std::size_t>(flow.heap_pos);
+  flow.heap_pos = -1;
+  const EtaEntry last = eta_heap_.back();
+  eta_heap_.pop_back();
+  if (pos == eta_heap_.size()) return;  // it was the last entry
+  eta_heap_[pos] = last;
+  eta_sift_down(eta_sift_up(pos));
 }
 
 void Network::inc_collect(LinkId link, std::vector<int>& out) {
@@ -469,7 +561,7 @@ void Network::inc_admit(IncFlow flow) {
                                       .size());
     link_flows_[static_cast<std::size_t>(link)].push_back(
         static_cast<std::int32_t>(id));
-    if (f.faulted_links == 0) ++link_active_[static_cast<std::size_t>(link)];
+    if (f.faulted_links == 0) link_join(link);
   }
   for (int a : scratch_affected_) {
     IncFlow& other = pool_[static_cast<std::size_t>(a)];
@@ -501,14 +593,9 @@ void Network::inc_remove(int id) {
         }
       }
     }
-    if (flow.faulted_links == 0) {
-      --link_active_[static_cast<std::size_t>(link)];
-    }
+    if (flow.faulted_links == 0) link_leave(link);
   }
-  if (flow.in_eta) {
-    eta_.erase({flow.eta, id});
-    flow.in_eta = false;
-  }
+  eta_erase(id);
   flow.alive = false;
   flow.on_complete = nullptr;
   --inc_alive_;
@@ -518,20 +605,17 @@ void Network::inc_remove(int id) {
 void Network::inc_pause(int id, std::vector<LinkId>& touched) {
   IncFlow& flow = pool_[static_cast<std::size_t>(id)];
   for (LinkId link : flow.path) {
-    --link_active_[static_cast<std::size_t>(link)];
+    link_leave(link);
     touched.push_back(link);
   }
   flow.rate = 0.0;
-  if (flow.in_eta) {
-    eta_.erase({flow.eta, id});
-    flow.in_eta = false;
-  }
+  eta_erase(id);
 }
 
 void Network::inc_unpause(int id, std::vector<LinkId>& touched) {
   IncFlow& flow = pool_[static_cast<std::size_t>(id)];
   for (LinkId link : flow.path) {
-    ++link_active_[static_cast<std::size_t>(link)];
+    link_join(link);
     touched.push_back(link);
   }
 }
@@ -553,9 +637,9 @@ void Network::inc_links_changed(const LinkId* first, const LinkId* last) {
 
 void Network::inc_reschedule() {
   pending_.cancel();
-  if (eta_.empty()) return;
+  if (eta_heap_.empty()) return;
   pending_ =
-      engine_.at(eta_.begin()->first, [this] { inc_on_completion_event(); });
+      engine_.at(eta_heap_.front().eta, [this] { inc_on_completion_event(); });
 }
 
 void Network::inc_on_completion_event() {
@@ -568,9 +652,10 @@ void Network::inc_on_completion_event() {
   ++epoch_;
   std::vector<LinkId>& touched = scratch_touched_;
   touched.clear();
-  std::vector<std::function<void()>> finished;
-  while (!eta_.empty() && eta_.begin()->first <= now + clock_ulp) {
-    const int id = eta_.begin()->second;
+  std::vector<std::function<void()>> finished = std::move(finished_);
+  finished.clear();
+  while (!eta_heap_.empty() && eta_heap_.front().eta <= now + clock_ulp) {
+    const int id = eta_heap_.front().id;
     IncFlow& flow = pool_[static_cast<std::size_t>(id)];
     inc_settle(flow);
     flow.mark = epoch_;  // removed below; never part of the affected set
@@ -589,6 +674,8 @@ void Network::inc_on_completion_event() {
   inc_reschedule();
   observe_flows();
   for (auto& callback : finished) callback();
+  finished.clear();
+  finished_ = std::move(finished);
 }
 
 // --- Observability -----------------------------------------------------------

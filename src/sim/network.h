@@ -11,15 +11,24 @@
 // packet-level detail, and on the crossbar reduces exactly to the paper's
 //     min( up[src] / active_out[src],  down[dst] / active_in[dst] ).
 //
-// Two interchangeable flow cores implement that model:
-//   dense        settles and re-rates every flow on every change -- the
-//                seed's arithmetic, kept bit-for-bit so crossbar results
-//                stay byte-identical; O(flows) per event, and doubles as
-//                the reference model for the incremental core's tests
-//   incremental  per-link flow sets with lazy settlement and an ETA set:
-//                a change touches only flows sharing a link with the
-//                affected links (O(affected * log flows) per event), which
-//                is what makes thousand-rank hierarchical runs tractable
+// Two interchangeable flow cores implement that model.  Both keep one
+// active-flow count per link, updated on admission, completion and pause,
+// and a cached per-link share capacity / count, refreshed only when that
+// link's count or capacity changes:
+//   dense        settles every flow and re-rates every flow on every change
+//                -- the seed's arithmetic, kept bit for bit so crossbar
+//                results stay byte-identical.  Flows sit in one contiguous
+//                vector in admission order; an event costs one pass of
+//                `remaining -= rate * elapsed` and one pass of min-over-path
+//                shares, O(flows * path length).  Only a fault change
+//                recounts the links from scratch.  Doubles as the reference
+//                model for the incremental core's tests.
+//   incremental  per-link flow sets with lazy settlement and an indexed
+//                binary heap of completion ETAs ordered by (eta, flow id):
+//                a change settles and re-rates only flows sharing a link
+//                with the affected links, O(affected * (path length +
+//                log flows)) per event, which is what makes thousand-rank
+//                hierarchical runs tractable
 // NetworkConfig::sharing picks a core; kAuto uses dense on the crossbar
 // (byte-identity) and incremental on hierarchical topologies (scale).
 //
@@ -32,9 +41,6 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <list>
-#include <set>
-#include <utility>
 #include <vector>
 
 #include "obs/recorder.h"
@@ -137,6 +143,7 @@ class Network {
     LinkPath path;
     double remaining;  // bytes
     double rate = 0.0;
+    bool paused = false;  // a path link is faulted; not in link_active_
     std::function<void()> on_complete;
   };
 
@@ -145,6 +152,10 @@ class Network {
 
   /// Recomputes per-flow rates and the single next-completion event.
   void rerate();
+
+  /// Re-derives every flow's paused flag and the per-link counts and shares
+  /// after a fault depth changed.
+  void recount();
 
   void on_completion_event();
   void admit(Flow flow);
@@ -158,14 +169,24 @@ class Network {
     double remaining = 0.0;  // bytes
     double rate = 0.0;
     Time settled_at = 0.0;
-    Time eta = 0.0;  // key of the entry in eta_, valid iff in_eta
+    Time eta = 0.0;  // completion time, valid iff heap_pos >= 0
     std::function<void()> on_complete;
     // Index of this flow within link_flows_[path.links[i]], per hop.
     std::array<std::int32_t, LinkPath::kMaxLinks> slot{};
     std::uint64_t mark = 0;  // epoch visited marker (affected-set dedup)
     int faulted_links = 0;   // path links with a positive fault depth
+    std::int32_t heap_pos = -1;  // index in eta_heap_, -1 when absent
     bool alive = false;
-    bool in_eta = false;
+  };
+
+  /// One completion-heap entry; `eta` mirrors pool_[id].eta so sifting
+  /// compares without touching the pool.  Ordered by (eta, id).
+  struct EtaEntry {
+    Time eta;
+    int id;
+    bool operator<(const EtaEntry& other) const {
+      return eta < other.eta || (eta == other.eta && id < other.id);
+    }
   };
 
   /// Accounts one flow's bytes since its own last rate change.
@@ -186,11 +207,26 @@ class Network {
   void inc_reschedule();
   void inc_links_changed(const LinkId* first, const LinkId* last);
 
+  // Completion heap, ordered by (eta, id): the pop order of an ordered set
+  // of (eta, id) pairs, with in-place updates through IncFlow::heap_pos.
+  void eta_set(int id);    // insert, or move after flow.eta changed
+  void eta_erase(int id);  // no-op when absent
+  std::size_t eta_sift_up(std::size_t pos);  // returns the final position
+  void eta_sift_down(std::size_t pos);
+  void eta_place(std::size_t pos, EtaEntry entry);
+
   // --- Shared -------------------------------------------------------------
 
   void check_node(int node) const;
   void check_link(LinkId link) const;
   bool path_faulted(const LinkPath& path) const;
+
+  /// A non-paused flow joins / leaves `link`: adjusts link_active_ and the
+  /// cached share.
+  void link_join(LinkId link);
+  void link_leave(LinkId link);
+  /// share_[link] = cap_[link] / link_active_[link], when the link is busy.
+  void refresh_share(LinkId link);
   void node_fault_span_begin(int node);
   void node_fault_span_end(int node);
 
@@ -206,19 +242,24 @@ class Network {
   bool incremental_ = false;
   std::vector<double> cap_;     // per link
   std::vector<int> lfault_;     // per link, nested fault depth
+  std::vector<int> link_active_;  // per link: non-paused flows crossing it
+  std::vector<double> share_;   // per link: cap_ / link_active_ when busy
   std::vector<int> node_fault_depth_;  // node-level faults, for spans/guards
   Time last_sync_ = 0.0;        // dense core's global settlement clock
   EventQueue::Handle pending_;
 
-  // Dense core state.
-  std::list<Flow> flows_;
+  // Finished callbacks of one completion event (either core), kept to
+  // reuse its capacity; taken out while the callbacks run.
+  std::vector<std::function<void()>> finished_;
+
+  // Dense core state: flows in admission order.
+  std::vector<Flow> flows_;
 
   // Incremental core state.
   std::vector<IncFlow> pool_;
   std::vector<int> free_slots_;
   std::vector<std::vector<std::int32_t>> link_flows_;  // per link: flow ids
-  std::vector<int> link_active_;  // per link: non-paused flows crossing it
-  std::set<std::pair<Time, int>> eta_;  // (completion time, flow id)
+  std::vector<EtaEntry> eta_heap_;  // binary min-heap by (eta, id)
   std::uint64_t epoch_ = 0;
   std::size_t inc_alive_ = 0;
   // Batch scratch buffers (reused to keep per-event allocation flat).  Only

@@ -2,13 +2,16 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "util/error.h"
+#include "util/format.h"
 
 namespace psk::trace {
 
@@ -19,6 +22,24 @@ namespace {
 // (std::bad_alloc / std::length_error instead of FormatError) before the
 // loop hits truncated input.
 constexpr std::size_t kReserveCap = 4096;
+
+// Caps on the header counts, the archive codec's: the rank count, a rank id
+// (below the largest rank count) and one rank's event count.
+constexpr std::uint64_t kMaxRanks = std::uint64_t{1} << 16;
+constexpr std::uint64_t kMaxEvents = std::uint64_t{1} << 32;
+
+/// An exact decimal count of at most `cap` (util::parse_decimal); `what`
+/// names the field in the error.
+std::uint64_t parse_count(const std::string& text, std::uint64_t cap,
+                          const char* what) {
+  const std::optional<std::uint64_t> value = util::parse_decimal(text, cap);
+  if (!value) {
+    throw FormatError(std::string("trace: bad ") + what + " '" + text +
+                      "' (want a decimal integer <= " + std::to_string(cap) +
+                      ")");
+  }
+  return *value;
+}
 
 std::string format_double(double value) {
   std::array<char, 40> buf{};
@@ -176,7 +197,7 @@ Trace read_trace(std::istream& in) {
     if (fields.size() != 2 || fields[0] != "ranks") {
       throw FormatError("trace: missing ranks line");
     }
-    rank_count = parse_u64(fields[1]);
+    rank_count = parse_count(fields[1], kMaxRanks, "ranks count");
   }
   for (std::size_t r = 0; r < rank_count; ++r) {
     const auto fields = split(next_line(), ' ');
@@ -184,12 +205,15 @@ Trace read_trace(std::istream& in) {
       throw FormatError("trace: missing rank header");
     }
     RankTrace rank;
-    rank.rank = parse_int(fields[1]);
+    rank.rank =
+        static_cast<int>(parse_count(fields[1], kMaxRanks - 1, "rank id"));
     rank.total_time = parse_double(fields[2]);
     rank.final_compute = parse_double(fields[3]);
-    const std::size_t event_count = parse_u64(fields[4]);
-    rank.events.reserve(std::min(event_count, kReserveCap));
-    for (std::size_t e = 0; e < event_count; ++e) {
+    const std::uint64_t event_count =
+        parse_count(fields[4], kMaxEvents, "event count");
+    rank.events.reserve(static_cast<std::size_t>(
+        std::min<std::uint64_t>(event_count, kReserveCap)));
+    for (std::uint64_t e = 0; e < event_count; ++e) {
       rank.events.push_back(parse_event_line(next_line()));
     }
     trace.ranks.push_back(std::move(rank));

@@ -2,8 +2,10 @@
 """Checks tools/perf_gate.py's verdicts on canned perfbench results."""
 import importlib.util
 import json
+import math
 import os
 import sys
+import tempfile
 import unittest
 
 sys.dont_write_bytecode = True
@@ -41,8 +43,18 @@ def side(walls, counters=COUNTERS):
     }}
 
 
-def verdicts(base, change):
-    rows = perf_gate.compare(END_TO_END, base, change)
+def grid_side(mean_error):
+    """paper_grid runs and one traced run reporting `mean_error`."""
+    return {"paper_grid": {
+        "runs": [result({"wall_s": w, "ops_per_s": 150.0 / w}) for w in TIGHT],
+        "traced": result({"core.sim_runs": 570, "trace.events": 1000,
+                          "skeleton.built": 30,
+                          "core.mean_error_pct": mean_error}),
+    }}
+
+
+def verdicts(base, change, rebaselined=False):
+    rows = perf_gate.compare(END_TO_END, base, change, rebaselined)
     return {row[1]: row[5] for row in rows}
 
 
@@ -125,6 +137,50 @@ class PerfGateTest(unittest.TestCase):
         rows = perf_gate.compare(END_TO_END, base, change)
         self.assertEqual(perf_gate.layer_deltas(BENCHMARK, rows, base, change),
                          [])
+
+    def test_equal_mean_error_passes(self):
+        got = verdicts(grid_side(7.7913), grid_side(7.7913))
+        self.assertEqual(got["core.mean_error_pct"], "equal")
+        self.assertTrue(perf_gate.passed(perf_gate.compare(
+            END_TO_END, grid_side(7.7913), grid_side(7.7913))))
+
+    def test_one_ulp_mean_error_move_fails(self):
+        moved = math.nextafter(7.7913, math.inf)
+        got = verdicts(grid_side(7.7913), grid_side(moved))
+        self.assertEqual(got["core.mean_error_pct"], "CHANGED")
+        rows = perf_gate.compare(END_TO_END, grid_side(7.7913),
+                                 grid_side(moved))
+        self.assertFalse(perf_gate.passed(rows))
+        row = [r for r in rows if r[1] == "core.mean_error_pct"][0]
+        self.assertIn("7.7913000000000006", perf_gate.format_row(row))
+
+    def test_mean_error_move_with_rebaselined_goldens_passes(self):
+        got = verdicts(grid_side(7.7913), grid_side(7.8173), True)
+        self.assertEqual(got["core.mean_error_pct"],
+                         "changed (goldens re-baselined)")
+        self.assertTrue(perf_gate.passed(perf_gate.compare(
+            END_TO_END, grid_side(7.7913), grid_side(7.8173), True)))
+
+    def test_goldens_differ_compares_names_and_bytes(self):
+        with tempfile.TemporaryDirectory() as base, \
+                tempfile.TemporaryDirectory() as change:
+            for tree in (base, change):
+                os.makedirs(os.path.join(tree, "tests", "golden"))
+                with open(os.path.join(tree, "tests", "golden", "a.txt"),
+                          "w") as f:
+                    f.write("table\n")
+            self.assertFalse(perf_gate.goldens_differ(base, change))
+            with open(os.path.join(change, "tests", "golden", "a.txt"),
+                      "w") as f:
+                f.write("table \n")
+            self.assertTrue(perf_gate.goldens_differ(base, change))
+            with open(os.path.join(change, "tests", "golden", "a.txt"),
+                      "w") as f:
+                f.write("table\n")
+            with open(os.path.join(change, "tests", "golden", "b.txt"),
+                      "w") as f:
+                f.write("")
+            self.assertTrue(perf_gate.goldens_differ(base, change))
 
     def test_run_without_result_line_fails(self):
         run = perf_gate.parse_run(2, "perfbench: build failed\n")

@@ -1,15 +1,18 @@
 // Tests for sim::Topology (spec parsing, path construction), the per-link
 // fault and capacity API on multi-hop paths, the incremental flow core
-// against the dense core as a reference model, and the large-world MPI
-// collective algorithms.
+// against the dense core as a reference model, bit-exact tripwires and
+// completion order for both flow cores, and the large-world MPI collective
+// algorithms.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "mpi/world.h"
+#include "scenario/synthetic.h"
 #include "sim/engine.h"
 #include "sim/machine.h"
 #include "sim/network.h"
@@ -298,6 +301,204 @@ TEST(IncrementalCore, MatchesDenseReferenceOnCrossbar) {
     EXPECT_GT(dense[i], 0.0) << "transfer " << i << " never finished";
     EXPECT_NEAR(inc[i], dense[i], 1e-9 * std::max(1.0, dense[i]))
         << "transfer " << i;
+  }
+}
+
+// ------------------------------------------------- bit-exact tripwire
+// The goldens print one decimal and the tests above compare to 1e-9, so a
+// one-ulp drift in either flow core would pass them.  These constants are
+// the cores' exact outputs; both cores keep every per-flow floating-point
+// expression in a fixed order, so any change to them must be deliberate.
+
+struct ScriptCase {
+  const char* topology;
+  NetworkConfig::Sharing sharing;
+  std::vector<double> done;
+};
+
+TEST(FlowCoreTripwire, RunScriptCompletionTimesAreBitExact) {
+  using S = NetworkConfig::Sharing;
+  const std::vector<ScriptCase> cases = {
+      {"crossbar", S::kDense,
+       {0x1.04129e4129e41p+3, 0x1.93c8253c8253dp+2, 0x1.ce147ae147ae2p+1,
+        0x1.347ae147ae148p+1, 0x1.27ae147ae147bp+1, 0x1.0e147ae147ae1p+1,
+        0x1.00a3d70a3d70ap+2, 0x1.270a3d70a3d7p+2, 0x1.20a3d70a3d70ap+2}},
+      {"crossbar", S::kIncremental,
+       {0x1.04129e4129e41p+3, 0x1.93c8253c8253dp+2, 0x1.ce147ae147ae2p+1,
+        0x1.347ae147ae147p+1, 0x1.27ae147ae147bp+1, 0x1.0e147ae147ae1p+1,
+        0x1.00a3d70a3d70ap+2, 0x1.270a3d70a3d7p+2, 0x1.20a3d70a3d70ap+2}},
+      {"fattree:4,2", S::kDense,
+       {0x1.a4129e4129e43p+3, 0x1.2fb586fb586fep+3, 0x1.33d70a3d70a3dp+2,
+        0x1.c147ae147ae15p+1, 0x1.27ae147ae147bp+1, 0x1.0e147ae147ae1p+1,
+        0x1.00a3d70a3d70ap+2, 0x1.270a3d70a3d7p+2, 0x1.ecccccccccccep+3}},
+      {"fattree:4,2", S::kIncremental,
+       {0x1.a4129e4129e41p+3, 0x1.2fb586fb586fbp+3, 0x1.33d70a3d70a3ep+2,
+        0x1.c147ae147ae15p+1, 0x1.27ae147ae147bp+1, 0x1.0e147ae147ae1p+1,
+        0x1.00a3d70a3d70ap+2, 0x1.270a3d70a3d7p+2, 0x1.eccccccccccccp+3}},
+      {"dragonfly:2,2", S::kDense,
+       {0x1.a0d2c2005f534p+3, 0x1.538c9138c9139p+3, 0x1.7b5f238f8bd29p+3,
+        0x1.da4c55a4c55a6p+2, 0x1.f0369d0369d04p+1, 0x1.a369d0369d037p+1,
+        0x1.781b4e81b4e82p+2, 0x1.8d70a3d70a3d7p+2, 0x1.c218f2c7f592ep+3}},
+      {"dragonfly:2,2", S::kIncremental,
+       {0x1.a0d2c2005f534p+3, 0x1.538c9138c9139p+3, 0x1.7b5f238f8bd29p+3,
+        0x1.da4c55a4c55a6p+2, 0x1.f0369d0369d03p+1, 0x1.a369d0369d036p+1,
+        0x1.781b4e81b4e82p+2, 0x1.8d70a3d70a3d7p+2, 0x1.c218f2c7f592ep+3}},
+  };
+  for (const ScriptCase& c : cases) {
+    const std::vector<double> done =
+        run_script(TopologySpec::parse(c.topology), c.sharing);
+    ASSERT_EQ(done.size(), c.done.size());
+    for (std::size_t i = 0; i < done.size(); ++i) {
+      EXPECT_EQ(done[i], c.done[i])
+          << c.topology << (c.sharing == S::kDense ? " dense" : " incremental")
+          << " transfer " << i;
+    }
+  }
+}
+
+TEST(FlowCoreTripwire, SyntheticBspAt256RanksIsBitExact) {
+  struct BspCase {
+    const char* topology;
+    std::uint64_t events;
+    double simulated_seconds;
+  };
+  const BspCase cases[] = {
+      {"crossbar", 54106, 0x1.a240314877699p-6},
+      {"fattree:32,16", 54106, 0x1.a2c669057d18fp-6},
+      {"dragonfly:16,8", 54106, 0x1.ad42c3c9eeccdp-6},
+  };
+  for (const BspCase& c : cases) {
+    sim::ClusterConfig cluster = sim::ClusterConfig::paper_testbed(256);
+    cluster.cores_per_node = 1;
+    cluster.topology = TopologySpec::parse(c.topology);
+    const scenario::SyntheticResult result =
+        scenario::run_synthetic_bsp(cluster, 256, scenario::SyntheticSpec{});
+    EXPECT_EQ(result.events_dispatched, c.events) << c.topology;
+    EXPECT_EQ(result.simulated_seconds, c.simulated_seconds) << c.topology;
+  }
+}
+
+// ------------------------------------------------ completion order and ETAs
+
+// Completion order of `count` equal transfers on disjoint crossbar paths
+// (i -> i + count), started together after a first wave of unequal
+// transfers on the same paths has finished and freed its flow slots.
+std::vector<int> equal_eta_order(NetworkConfig::Sharing sharing, int count) {
+  sim::Engine engine;
+  NetworkConfig config{.node_count = 2 * count,
+                       .bandwidth_bps = 100.0,
+                       .latency = 0.0,
+                       .local_bandwidth_bps = 1.0e9,
+                       .local_latency = 0.0,
+                       .topology = TopologySpec{},
+                       .sharing = sharing};
+  Network net(engine, config);
+  for (int i = 0; i < count; ++i) {
+    net.transfer(i, i + count, 10 * static_cast<std::uint64_t>(i + 1), [] {});
+  }
+  std::vector<int> order;
+  engine.at(100.0, [&] {
+    for (int i = 0; i < count; ++i) {
+      net.transfer(i, i + count, 50, [&order, i] { order.push_back(i); });
+    }
+  });
+  engine.run();
+  return order;
+}
+
+TEST(FlowCoreOrder, EqualEtasCompleteInFlowIdOrderOnIncrementalCore) {
+  // The first wave finishes in path order, so its slots are freed 0..7 and
+  // reused last-freed first: the second wave's k-th transfer gets flow id
+  // 7 - k.  Equal ETAs then complete in flow-id order, (eta, id) as an
+  // ordered set pops them -- the reverse of the order they started in.
+  EXPECT_EQ(equal_eta_order(NetworkConfig::Sharing::kIncremental, 8),
+            (std::vector<int>{7, 6, 5, 4, 3, 2, 1, 0}));
+}
+
+TEST(FlowCoreOrder, EqualEtasCompleteInAdmissionOrderOnDenseCore) {
+  EXPECT_EQ(equal_eta_order(NetworkConfig::Sharing::kDense, 8),
+            (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
+}
+
+TEST_P(SharingCores, FaultPausedFlowResumesAtExactTime) {
+  // Transfer A (0 -> 1) pauses when uplink(0) faults at 0.3 s; while it is
+  // paused the transfers sharing downlink(1) re-rate, a new transfer starts
+  // and downlink(1) is reshaped.  A resumes at 1.9 s.
+  sim::Engine engine;
+  NetworkConfig config{.node_count = 4,
+                       .bandwidth_bps = 70.0,
+                       .latency = 0.003,
+                       .local_bandwidth_bps = 1.0e9,
+                       .local_latency = 0.0,
+                       .topology = TopologySpec{},
+                       .sharing = GetParam()};
+  Network net(engine, config);
+  double a = -1.0;
+  net.transfer(0, 1, 130, [&] { a = engine.now(); });
+  net.transfer(2, 1, 210, [] {});
+  net.transfer(3, 1, 45, [] {});
+  const LinkId up0 = net.topology().uplink(0);
+  engine.at(0.3, [&] { net.push_fault_on(up0); });
+  engine.at(0.7, [&] { net.transfer(2, 3, 95, [] {}); });
+  engine.at(1.1, [&] {
+    net.set_link_capacity(net.topology().downlink(1), 90.0);
+  });
+  engine.at(1.9, [&] {
+    net.pop_fault_on(up0);
+    net.transfer(3, 2, 60, [] {});
+  });
+  engine.run();
+  EXPECT_EQ(a, 0x1.28a2050197c79p+2);
+  EXPECT_EQ(net.active_flows(), 0u);
+}
+
+TEST_P(SharingCores, ReusedFlowSlotsMatchTheDenseReference) {
+  // Waves of transfers started from completion callbacks, so every wave
+  // reuses the slots the previous one freed, with a fault on a shared link
+  // pausing part of each wave.  A stale completion-queue position would
+  // complete the wrong transfer or none (and trips ASan on a freed slot).
+  const auto run = [](NetworkConfig::Sharing sharing) {
+    sim::Engine engine;
+    NetworkConfig config{.node_count = 6,
+                         .bandwidth_bps = 100.0,
+                         .latency = 0.001,
+                         .local_bandwidth_bps = 1.0e9,
+                         .local_latency = 0.0,
+                         .topology = TopologySpec{},
+                         .sharing = sharing};
+    Network net(engine, config);
+    std::vector<double> done;
+    std::function<void(int)> start = [&](int wave) {
+      for (int i = 0; i < 5; ++i) {
+        const int src = (wave + i) % 6;
+        const int dst = (wave + 2 * i + 1) % 6;
+        if (src == dst) continue;
+        const std::uint64_t bytes = 20 + 7 * static_cast<std::uint64_t>(
+                                             (wave * 5 + i) % 11);
+        const bool last = i == 4;
+        net.transfer(src, dst, bytes, [&, wave, last] {
+          done.push_back(engine.now());
+          if (last && wave < 12) start(wave + 1);
+        });
+      }
+    };
+    start(0);
+    const LinkId down3 = net.topology().downlink(3);
+    for (int k = 0; k < 6; ++k) {
+      engine.at(0.4 + 1.1 * k, [&net, down3] { net.push_fault_on(down3); });
+      engine.at(0.9 + 1.1 * k, [&net, down3] { net.pop_fault_on(down3); });
+    }
+    engine.run();
+    EXPECT_EQ(net.active_flows(), 0u);
+    return done;
+  };
+  const std::vector<double> reference = run(NetworkConfig::Sharing::kDense);
+  const std::vector<double> done = run(GetParam());
+  ASSERT_EQ(done.size(), reference.size());
+  EXPECT_GT(done.size(), 50u);
+  for (std::size_t i = 0; i < done.size(); ++i) {
+    EXPECT_NEAR(done[i], reference[i], 1e-9 * std::max(1.0, reference[i]))
+        << "completion " << i;
   }
 }
 

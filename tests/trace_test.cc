@@ -420,6 +420,33 @@ TEST(Io, RejectsMalformedEvent) {
   EXPECT_THROW(trace_from_string(text), psk::FormatError);
 }
 
+TEST(Io, RejectsInexactCounts) {
+  // The ranks count, a rank id and an event count are exact decimals: a
+  // trailing suffix, base prefix or sign is malformed, not read as far as
+  // it parses (or, for "-1", wrapped to a huge count read until the input
+  // runs out).
+  const std::string head = "psk-trace 1\napp x\n";
+  for (const char* bad :
+       {"ranks 0garbage\n", "ranks -1\n", "ranks 65537\n", "ranks 0x1\n",
+        "ranks 1\nrank 0x 1.0 0.5 0\n", "ranks 1\nrank -1 1.0 0.5 0\n",
+        "ranks 1\nrank 65536 1.0 0.5 0\n", "ranks 1\nrank 0 1.0 0.5 0z\n",
+        "ranks 1\nrank 0 1.0 0.5 -1\n"}) {
+    try {
+      trace_from_string(head + bad);
+      ADD_FAILURE() << "accepted: " << bad;
+    } catch (const psk::FormatError& e) {
+      EXPECT_NE(std::string(e.what()).find("want a decimal integer"),
+                std::string::npos)
+          << bad << ": " << e.what();
+    }
+  }
+  const Trace empty = trace_from_string(head + "ranks 0\n");
+  EXPECT_TRUE(empty.ranks.empty());
+  const Trace one = trace_from_string(head + "ranks 1\nrank 7 1.0 0.5 0\n");
+  ASSERT_EQ(one.ranks.size(), 1u);
+  EXPECT_EQ(one.ranks[0].rank, 7);
+}
+
 TEST(Io, FileRoundTrip) {
   const Trace original = sample_trace();
   const std::string path = testing::TempDir() + "/psk_trace_test.trace";

@@ -8,9 +8,13 @@ alternating pairs of untraced runs (seeds 1-5, the base first on odd seeds),
 then, where the workload has exact counters, one traced seed-1 run per side.
 Each tree builds into its own .bench_build.  The gate fails when a run on
 either side fails, when an end-to-end metric's median is worse than the
-base's by more than its BENCHMARK.json bound, or when an exact work counter
-rises.  A metric whose base spread (interquartile range over median) is wider
-than its bound is reported unresolved and does not fail.  When an end-to-end
+base's by more than its BENCHMARK.json bound, when an exact work counter
+rises, or when an output the traced run prints exactly (the grid's mean
+error) differs from the base's -- unless tests/golden/ differs between the
+trees, which declares the change output-changing and prints the moved
+output as "changed (goldens re-baselined)" instead.  A metric whose base
+spread (interquartile range over median) is wider than its bound is
+reported unresolved and does not fail.  When an end-to-end
 row is WORSE or unresolved on a workload with a traced pair, the gate also
 prints that pair's per-layer metrics, largest relative move first, so the
 row names the layer that moved.  Wall-clock numbers
@@ -35,7 +39,11 @@ COUNTERS_NOT_RISING = {
     "scale_1024": ("sim.events", "alloc.per_event"),
 }
 FLAGS_MUST_BE_ONE = {"scale_1024": ("alloc.exact_repeat",)}
-TRACED = set(COUNTERS_NOT_RISING) | set(FLAGS_MUST_BE_ONE)
+# Per workload: traced outputs that must be bit-for-bit equal to the base's
+# while the goldens are unchanged.
+OUTPUTS_EQUAL = {"paper_grid": ("core.mean_error_pct",)}
+TRACED = set(COUNTERS_NOT_RISING) | set(FLAGS_MUST_BE_ONE) | set(OUTPUTS_EQUAL)
+REBASELINED = "changed (goldens re-baselined)"
 
 
 def parse_run(returncode, stdout):
@@ -103,8 +111,9 @@ def compare_end_to_end(end_to_end, workload, base_runs, change_runs):
     return rows
 
 
-def compare_counters(workload, base_run, change_run):
-    """One row per exact counter of one workload's traced runs."""
+def compare_counters(workload, base_run, change_run, rebaselined=False):
+    """One row per exact counter and exact output of one workload's traced
+    runs; `rebaselined` says the goldens differ between the trees."""
     rows = []
     for name in COUNTERS_NOT_RISING.get(workload, ()):
         base, change = metric(base_run, name), metric(change_run, name)
@@ -119,16 +128,40 @@ def compare_counters(workload, base_run, change_run):
         verdict = ("WORSE" if change != 1 else
                    "equal" if base == 1 else "ok")
         rows.append((workload, name, base, change, None, verdict))
+    for name in OUTPUTS_EQUAL.get(workload, ()):
+        base, change = metric(base_run, name), metric(change_run, name)
+        if base is None or change is None:
+            verdict = "MISSING"
+        elif change == base:
+            verdict = "equal"
+        else:
+            verdict = REBASELINED if rebaselined else "CHANGED"
+        rows.append((workload, name, base, change, None, verdict))
     return rows
 
 
-def compare(end_to_end, base, change):
+def goldens_differ(base_tree, change_tree):
+    """Whether tests/golden/ holds other file names or bytes in the trees."""
+    def read(tree):
+        root = os.path.join(tree, "tests", "golden")
+        files = {}
+        for folder, _, names in os.walk(root):
+            for name in names:
+                path = os.path.join(folder, name)
+                with open(path, "rb") as f:
+                    files[os.path.relpath(path, root)] = f.read()
+        return files
+    return read(base_tree) != read(change_tree)
+
+
+def compare(end_to_end, base, change, rebaselined=False):
     """Rows (workload, metric, base, change, spread, verdict) for two sides.
 
     Each side maps a workload to {"runs": [untraced run per seed], "traced":
     run}, every run a parse_run() dict; "traced" is there only for workloads
     in TRACED.  A failed run gets a FAILED row, and the workload's
-    comparisons are left out.
+    comparisons are left out.  `rebaselined` says the goldens differ between
+    the trees, so an exact output may move.
     """
     rows = []
     for workload in base:
@@ -152,7 +185,7 @@ def compare(end_to_end, base, change):
                                    change[workload]["runs"])
         if workload in TRACED:
             rows += compare_counters(workload, base[workload]["traced"],
-                                     change[workload]["traced"])
+                                     change[workload]["traced"], rebaselined)
     return rows
 
 
@@ -191,15 +224,19 @@ def layer_deltas(benchmark, rows, base, change):
 
 
 def passed(rows):
-    return not any(row[5] in ("WORSE", "FAILED", "MISSING") for row in rows)
+    return not any(row[5] in ("WORSE", "CHANGED", "FAILED", "MISSING")
+                   for row in rows)
 
 
 def format_row(row):
-    def cell(value, form="%.6g"):
+    workload, name, base, change, spread, verdict = row
+    # Exact outputs print every digit, so a one-ulp move shows.
+    exact = name in OUTPUTS_EQUAL.get(workload, ())
+
+    def cell(value, form="%.17g" if exact else "%.6g"):
         if value is None:
             return "-"
         return form % value if isinstance(value, (int, float)) else value
-    workload, name, base, change, spread, verdict = row
     return "%-11s %-20s base %-12s change %-14s spread %-6s %s" % (
         workload, name, cell(base), cell(change), cell(spread, "%.3f"),
         verdict)
@@ -259,7 +296,7 @@ def main(argv):
                     command, side, sides[side], workload, 1, 1)
 
     rows = compare(benchmark["end_to_end"], results["base"],
-                   results["change"])
+                   results["change"], goldens_differ(base_tree, here))
     for row in rows:
         print(format_row(row))
     layers = layer_deltas(benchmark, rows, results["base"], results["change"])
