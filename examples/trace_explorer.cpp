@@ -1,6 +1,6 @@
 // Trace explorer: records a benchmark's execution trace, shows the
 // nonblocking-region folding and the activity breakdown, and saves/reloads
-// the trace through the text format.
+// the trace as a PSKARCH1 archive.
 //
 // Useful when porting the tracer to new applications: the printed event
 // stream is what the compressor will consume.
@@ -11,11 +11,11 @@
 #include <string>
 
 #include "apps/nas.h"
+#include "archive/archive.h"
 #include "mpi/world.h"
 #include "sim/machine.h"
 #include "trace/event.h"
 #include "trace/fold.h"
-#include "trace/io.h"
 #include "trace/recorder.h"
 #include "util/cli.h"
 #include "util/format.h"
@@ -63,8 +63,8 @@ int main(int argc, char** argv) {
 
   const std::string save_path = cli.get("save", "");
   if (!save_path.empty()) {
-    trace::save_trace(save_path, trace);
-    const trace::Trace reloaded = trace::load_trace(save_path);
+    archive::save(save_path, trace).or_throw();
+    const trace::Trace reloaded = archive::load_trace(save_path).or_throw();
     std::printf("saved to %s and reloaded: %zu events (round trip %s)\n",
                 save_path.c_str(), reloaded.event_count(),
                 reloaded.event_count() == trace.event_count() ? "ok"

@@ -1,33 +1,49 @@
-// libFuzzer harness for the PSKARCH1 container and payload codecs.
+// libFuzzer harness for the PSKARCH1 container and payload codecs, the one
+// file format for traces, signatures and skeletons.
 //
 // Exercises the full untrusted-bytes surface: header and frame parsing
-// (magic, versions, size, checksum), the strict payload decoders, and the
-// skeleton prefix decoder the salvage layer leans on.  The archive API
+// (magic, versions, size, checksum), the strict payload decoders, the
+// skeleton prefix decoder and the skeleton salvor built on it.  Every value
+// that decodes is run through its guard validator, so the validators'
+// recursive walks see fuzzer-shaped loop nests as well.  The archive API
 // reports errors through Result, so nothing here should throw at all; the
 // prefix decoder additionally promises to never fail on mere truncation,
 // which makes every mutated frame a meaningful input for it.
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <string_view>
 
 #include "archive/archive.h"
 #include "archive/codec.h"
+#include "guard/salvage.h"
+#include "guard/validate.h"
 #include "util/error.h"
 
 namespace {
+
+/// Renders the validator's report for a decoded value; rendering must not
+/// throw either.
+template <typename T, typename Validate>
+void validate(const psk::archive::Result<T>& decoded, Validate validator) {
+  if (decoded.ok()) (void)validator(decoded.value()).render();
+}
 
 void decode_payload(psk::archive::PayloadKind kind, std::string_view payload,
                     std::uint32_t version) {
   using psk::archive::PayloadKind;
   switch (kind) {
     case PayloadKind::kTrace:
-      (void)psk::archive::decode_trace(payload, version);
+      validate(psk::archive::decode_trace(payload, version),
+               psk::guard::validate_trace);
       break;
     case PayloadKind::kSignature:
-      (void)psk::archive::decode_signature(payload, version);
+      validate(psk::archive::decode_signature(payload, version),
+               psk::guard::validate_signature);
       break;
     case PayloadKind::kSkeleton: {
-      (void)psk::archive::decode_skeleton(payload, version);
+      validate(psk::archive::decode_skeleton(payload, version),
+               psk::guard::validate_skeleton);
       psk::archive::PrefixStats stats;
       (void)psk::archive::decode_skeleton_prefix(payload, version, stats);
       break;
@@ -55,6 +71,11 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     decode_payload(psk::archive::PayloadKind::kTrace, bytes, 1);
     decode_payload(psk::archive::PayloadKind::kSignature, bytes, 1);
     decode_payload(psk::archive::PayloadKind::kSkeleton, bytes, 1);
+    // The salvor must recover, reject or report -- never crash -- on
+    // arbitrary damage.
+    psk::guard::SalvageReport report;
+    (void)psk::guard::salvage_skeleton_bytes(std::string(bytes), report);
+    (void)report.render();
   } catch (const psk::Error&) {
     // Result-based API; an Error here is tolerated but unexpected.
   }

@@ -2,12 +2,13 @@
 //
 // Run with the corpus root as the only argument:
 //     fuzz_make_seeds fuzz/corpus
-// Seeds are small, valid-by-construction documents plus a few deliberately
-// damaged variants (truncations, a flipped checksum byte), so every parser
-// branch the harnesses guard -- accept, reject, and for skeletons (the one
-// artifact that is salvaged) salvage-prefix -- has at least one covering
-// input before the fuzzer mutates anything.  Output is
-// deterministic: regenerating must not dirty the checkout.
+// Seeds are small, valid-by-construction archives, service frames and store
+// entries plus a few deliberately damaged variants (truncations, a flipped
+// checksum byte), so every parser branch the harnesses guard -- accept,
+// reject, and for skeletons (the one artifact that is salvaged)
+// salvage-prefix -- has at least one covering input before the fuzzer
+// mutates anything.  Output is deterministic: regenerating must not dirty
+// the checkout.
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -16,13 +17,10 @@
 #include "archive/codec.h"
 #include "cache/blob_store.h"
 #include "cache/cache.h"
-#include "sig/io.h"
 #include "sig/signature.h"
-#include "skeleton/io.h"
 #include "skeleton/skeleton.h"
 #include "svc/frame.h"
 #include "trace/event.h"
-#include "trace/io.h"
 #include "util/error.h"
 
 namespace {
@@ -110,47 +108,6 @@ int main(int argc, char** argv) {
   }
   const std::string root = argv[1];
 
-  // ------------------------------------------------------------ trace text
-  const std::string trace_text = trace::trace_to_string(sample_trace());
-  write_file(root + "/trace_text/valid.trace", trace_text);
-  write_file(root + "/trace_text/truncated.trace",
-             trace_text.substr(0, trace_text.size() * 2 / 3));
-  write_file(root + "/trace_text/header_only.trace", "psk-trace 1\napp x\n");
-  write_file(root + "/trace_text/garbage.trace", "not a trace\n\x01\x02\xff");
-  write_file(root + "/trace_text/empty.trace", "");
-  write_file(root + "/trace_text/negative_ranks.trace",
-             "psk-trace 1\napp x\nranks -1\n");
-  // Counts with a trailing suffix or a base prefix, once read as far as
-  // they parsed.
-  write_file(root + "/trace_text/suffixed_counts.trace",
-             "psk-trace 1\napp x\nranks 0garbage\n");
-  write_file(root + "/trace_text/hex_rank_id.trace",
-             "psk-trace 1\napp x\nranks 1\nrank 0x 1.0 0.5 0\n");
-
-  // ------------------------------------------------------- signature text
-  const std::string sig_text = sig::signature_to_string(sample_signature());
-  const std::string skel_text = skeleton::skeleton_to_string(sample_skeleton());
-  write_file(root + "/signature/valid.sig", sig_text);
-  write_file(root + "/signature/valid.skel", skel_text);
-  write_file(root + "/signature/truncated.sig",
-             sig_text.substr(0, sig_text.size() / 2));
-  write_file(root + "/signature/negative_iters.sig",
-             "psk-signature 1\napp x\nthreshold 0.1\nratio 1\nranks 1\n"
-             "rank 0 1 0\nloop -3 1\n");
-  // Torn exactly mid-"ranks N": the count field is gone, only the prefix
-  // and trailing space survive.
-  write_file(root + "/signature/torn_ranks.sig",
-             "psk-signature 1\napp x\nthreshold 0.1\nratio 1\nranks ");
-  write_file(root + "/signature/negative_ranks.sig",
-             "psk-signature 1\napp x\nthreshold 0.1\nratio 1\nranks -1\n");
-  // Torn skeletons, text and PSKARCH1, for the skeleton salvor; and a
-  // ranks count that is a float far beyond any integer type.
-  write_file(root + "/signature/truncated.skel",
-             skel_text.substr(0, skel_text.size() * 3 / 4));
-  write_file(root + "/signature/float_ranks.skel",
-             "psk-skeleton 1\napp x\nk 1\nintended 1\nmin_good 1\ngood 1\n"
-             "ranks 1e300\n");
-
   // -------------------------------------------------------------- archive
   std::string payload;
   archive::encode(payload, sample_trace());
@@ -173,7 +130,8 @@ int main(int argc, char** argv) {
       framed(archive::PayloadKind::kSkeleton, payload);
   write_file(root + "/archive/skeleton.pskarch", skel_arch);
   write_file(root + "/archive/header_only.pskarch", skel_arch.substr(0, 24));
-  write_file(root + "/signature/truncated_skel.pskarch",
+  // A torn skeleton for the salvor: the first rank survives.
+  write_file(root + "/archive/skeleton_truncated.pskarch",
              skel_arch.substr(0, skel_arch.size() * 3 / 4));
   write_file(root + "/archive/magic_only.pskarch", "PSKARCH1");
 

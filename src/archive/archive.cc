@@ -1,9 +1,5 @@
 #include "archive/archive.h"
 
-#include "sig/io.h"
-#include "skeleton/io.h"
-#include "trace/io.h"
-
 namespace psk::archive {
 
 namespace {
@@ -21,34 +17,28 @@ Status save_as(const std::string& path, PayloadKind kind,
   return write_file_atomic(path, bytes);
 }
 
-/// Loads the frame for `kind` from `path`, or kBadMagic when the file is a
-/// pre-archive (legacy) format the caller should fall back to.
-Result<Frame> load_frame(const std::string& path, PayloadKind kind) {
-  Result<std::string> bytes = read_file(path);
+/// Reads `path` and decodes the one payload of `kind` it must hold.  A
+/// file without the archive magic is refused by name: the pre-archive text
+/// formats are no longer read.
+template <typename T>
+Result<T> load_as(const std::string& path, PayloadKind kind,
+                  Result<T> (*decode)(std::string_view, std::uint32_t)) {
+  const Result<std::string> bytes = read_file(path);
   if (!bytes.ok()) return bytes.error();
-  Result<Frame> frame = read_frame(bytes.value());
-  if (!frame.ok()) return frame.error();
+  const Result<Frame> frame = read_frame(bytes.value());
+  if (!frame.ok()) {
+    if (frame.error().code != ErrorCode::kBadMagic) return frame.error();
+    return Error{ErrorCode::kBadMagic,
+                 path + " is not a PSKARCH1 archive (text trace, signature "
+                        "and skeleton files are no longer read)"};
+  }
   if (frame.value().kind != kind) {
     return Error{ErrorCode::kBadKind,
                  path + " holds a " +
                      payload_kind_name(frame.value().kind) + ", wanted a " +
                      payload_kind_name(kind)};
   }
-  return frame;
-}
-
-/// Wraps a legacy (pre-archive) loader, translating its exceptions into
-/// typed errors.
-template <typename Fn>
-auto load_legacy(const std::string& path, Fn fn)
-    -> Result<decltype(fn(path))> {
-  try {
-    return fn(path);
-  } catch (const psk::FormatError& e) {
-    return Error{ErrorCode::kCorrupt, path + ": " + e.what()};
-  } catch (const psk::Error& e) {
-    return Error{ErrorCode::kIo, path + ": " + e.what()};
-  }
+  return decode(frame.value().payload, frame.value().payload_version);
 }
 
 }  // namespace
@@ -147,39 +137,15 @@ Status save(const std::string& path, const skeleton::Skeleton& skeleton) {
 }
 
 Result<trace::Trace> load_trace(const std::string& path) {
-  Result<Frame> frame = load_frame(path, PayloadKind::kTrace);
-  if (frame.ok()) {
-    return decode_trace(frame.value().payload, frame.value().payload_version);
-  }
-  if (frame.error().code != ErrorCode::kBadMagic) return frame.error();
-  // Versioned fallback: pre-archive text trace files.
-  return load_legacy(path, [](const std::string& p) {
-    return trace::load_trace(p);
-  });
+  return load_as(path, PayloadKind::kTrace, &decode_trace);
 }
 
 Result<sig::Signature> load_signature(const std::string& path) {
-  Result<Frame> frame = load_frame(path, PayloadKind::kSignature);
-  if (frame.ok()) {
-    return decode_signature(frame.value().payload,
-                            frame.value().payload_version);
-  }
-  if (frame.error().code != ErrorCode::kBadMagic) return frame.error();
-  return load_legacy(path, [](const std::string& p) {
-    return sig::load_signature(p);
-  });
+  return load_as(path, PayloadKind::kSignature, &decode_signature);
 }
 
 Result<skeleton::Skeleton> load_skeleton(const std::string& path) {
-  Result<Frame> frame = load_frame(path, PayloadKind::kSkeleton);
-  if (frame.ok()) {
-    return decode_skeleton(frame.value().payload,
-                           frame.value().payload_version);
-  }
-  if (frame.error().code != ErrorCode::kBadMagic) return frame.error();
-  return load_legacy(path, [](const std::string& p) {
-    return skeleton::load_skeleton(p);
-  });
+  return load_as(path, PayloadKind::kSkeleton, &decode_skeleton);
 }
 
 }  // namespace psk::archive

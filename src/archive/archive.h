@@ -1,6 +1,5 @@
-// The unified psk archive: one versioned container for traces, signatures
-// and skeletons, replacing the three divergent save/load surfaces
-// (trace::io, sig::io, skeleton::io).
+// The psk archive: the one file format for traces, signatures and
+// skeletons, a versioned container around their canonical codec payloads.
 //
 // Container layout (all integers explicit little-endian):
 //
@@ -13,9 +12,8 @@
 //   24      n     payload (canonical codec bytes)
 //   24+n    8     FNV-1a fingerprint of the payload
 //
-// Loaders keep the pre-archive text formats as a versioned fallback: a file
-// that does not start with the archive magic is handed to the text readers,
-// so existing example files keep loading.  Errors are typed
+// There is no other format: a file that does not start with the archive
+// magic is refused with kBadMagic naming the file.  Errors are typed
 // (Result<T>/Status); use .or_throw() where exceptions are preferred.
 #pragma once
 
@@ -74,9 +72,9 @@ bool looks_like_archive(std::string_view bytes);
 // ------------------------------------------------------- file operations
 //
 // save_* writes the archive container atomically (temp file + rename): a
-// crashed writer never leaves a torn file at `path`.  load_* reads an
-// archive container, falling back to the legacy format readers when the
-// file predates the container.
+// crashed writer never leaves a torn file at `path`.  load_* reads the
+// container and decodes its payload strictly: any damage is a typed error
+// (the guard salvage layer recovers torn skeletons).
 
 Status save(const std::string& path, const trace::Trace& trace);
 Status save(const std::string& path, const sig::Signature& signature);

@@ -4,8 +4,8 @@
 // rendering of the value to `out`.  The encoding is *canonical*: equal
 // values always encode to identical bytes, on any host.  It serves two
 // consumers:
-//   - the psk::archive container stores these bytes as payloads (the
-//     unified replacement for the trace/sig/skeleton text formats), and
+//   - the psk::archive container stores these bytes as payloads (the one
+//     file format for traces, signatures and skeletons), and
 //   - the psk::cache result cache hashes them as content-addressed keys
 //     (scenario / cluster / MPI configs are encode-only: key material that
 //     is never loaded back).

@@ -27,7 +27,7 @@ namespace psk::archive {
 
 enum class ErrorCode {
   kIo,           // file missing / unreadable / unwritable
-  kBadMagic,     // not an archive and not a recognized legacy format
+  kBadMagic,     // not a psk archive (no PSKARCH1 magic)
   kBadVersion,   // container or payload version newer than this reader
   kBadKind,      // archive holds a different payload kind than requested
   kCorrupt,      // framing, checksum or field-level decode failure

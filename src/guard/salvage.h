@@ -3,13 +3,13 @@
 // The skeleton is the artifact that is shipped to a target system, so it is
 // the one that can arrive damaged: as a `psk run --skeleton` file or as a
 // `pskd` upload.  (Traces and signatures are intermediate values that stay
-// in memory.)  A crashed writer, a full disk, or a partial copy leaves
-// bytes whose prefix is perfectly good data.  The strict loaders reject
-// them outright; salvage_* instead keeps every whole rank up to the first
-// damage and reports exactly what was kept and where the damage starts
-// (line number for text, byte offset for PSKARCH1), so
-// `--validate=salvage` can proceed on the recovered prefix while telling
-// the user what was lost.
+// in memory.)  A crashed writer, a full disk, or a partial copy leaves a
+// PSKARCH1 container whose prefix is perfectly good data.  The strict
+// loaders reject it outright; salvage_* instead keeps every whole rank up to
+// the first damage and reports exactly what was kept and the byte offset
+// where the damage starts, so `--validate=salvage` can proceed on the
+// recovered prefix while telling the user what was lost.  Bytes that are not
+// a PSKARCH1 skeleton at all are unrecoverable.
 #pragma once
 
 #include <optional>
@@ -29,11 +29,8 @@ struct SalvageReport {
   /// Rank accounting: declared vs kept.
   std::uint64_t ranks_expected = 0;
   std::uint64_t ranks_kept = 0;
-  /// Text inputs: 1-based line number of the first unusable line (0 when
-  /// not applicable or the file was clean).
-  std::size_t line = 0;
-  /// Binary inputs: file offset of the first byte that could not be used
-  /// (0 when not applicable or the file was clean).
+  /// File offset of the first byte that could not be used (0 when the
+  /// file was clean or its container or skeleton header is unusable).
   std::size_t byte_offset = 0;
   /// Why salvage stopped, empty when clean.
   std::string detail;
@@ -42,18 +39,19 @@ struct SalvageReport {
   std::string render() const;
 };
 
-/// First tries the strict loader; on success the report is `clean`.  On a
-/// format error it recovers the longest verifiable prefix.  Returns nullopt
-/// (with report.recovered == false) when nothing usable survives -- e.g. the
-/// header itself is gone.  I/O errors (missing file) still throw, as there
-/// is nothing to salvage.
+/// Reads the file once (archive::read_file) and first decodes those bytes
+/// strictly; on success the report is `clean`.  On a format error it
+/// recovers the longest verifiable prefix of the same bytes.  Returns
+/// nullopt (with report.recovered == false) when nothing usable survives --
+/// e.g. the header itself is gone.  I/O errors (missing file) throw
+/// FormatError, as there is nothing to salvage.
 std::optional<skeleton::Skeleton> salvage_skeleton_file(
     const std::string& path, SalvageReport& report);
 
 /// Salvage directly from an in-memory buffer (a `pskd` upload).  It skips
 /// the strict fast-path (so an intact buffer is reported `recovered`, never
 /// `clean`) and never touches the filesystem; the fuzz harnesses use it to
-/// drive the lenient decoders with arbitrary bytes.  Nullopt as above.
+/// drive the lenient decoder with arbitrary bytes.  Nullopt as above.
 std::optional<skeleton::Skeleton> salvage_skeleton_bytes(
     const std::string& bytes, SalvageReport& report);
 

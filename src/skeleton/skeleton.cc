@@ -68,7 +68,8 @@ GoodSkeletonEstimate estimate_good_skeleton(
 
 Skeleton build_skeleton(const sig::Signature& signature, double k,
                         const ScaleOptions& options) {
-  util::require(k >= 1.0, "build_skeleton: K must be >= 1");
+  util::require(std::isfinite(k) && k >= 1.0,
+                "build_skeleton: K must be finite and >= 1");
   util::require(!signature.ranks.empty(), "build_skeleton: empty signature");
 
   Skeleton skeleton;

@@ -55,7 +55,7 @@ struct GoodSkeletonOptions {
 GoodSkeletonEstimate estimate_good_skeleton(
     const sig::Signature& signature, const GoodSkeletonOptions& options = {});
 
-/// Builds the skeleton for scaling factor `k` (>= 1).
+/// Builds the skeleton for scaling factor `k` (finite, >= 1).
 Skeleton build_skeleton(const sig::Signature& signature, double k,
                         const ScaleOptions& options = {});
 

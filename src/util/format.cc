@@ -46,19 +46,6 @@ std::string pad_right(const std::string& s, std::size_t width) {
   return s + std::string(width - s.size(), ' ');
 }
 
-std::optional<std::uint64_t> parse_decimal(std::string_view text,
-                                           std::uint64_t cap) {
-  if (text.empty()) return std::nullopt;
-  std::uint64_t value = 0;
-  for (const char digit : text) {
-    if (digit < '0' || digit > '9') return std::nullopt;
-    const auto d = static_cast<std::uint64_t>(digit - '0');
-    if (d > cap || value > (cap - d) / 10) return std::nullopt;
-    value = value * 10 + d;
-  }
-  return value;
-}
-
 std::string indexed(const std::string& name, std::size_t i) {
   return name + "[" + std::to_string(i) + "]";
 }

@@ -1,11 +1,8 @@
-// Plain-text formatting helpers for reports, tables and trace dumps, and
-// the exact count parser the text readers share.
+// Plain-text formatting helpers for reports, tables and trace dumps.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
-#include <string_view>
 
 namespace psk::util {
 
@@ -27,11 +24,5 @@ std::string pad_right(const std::string& s, std::size_t width);
 
 /// "name[i]" style indexed label.
 std::string indexed(const std::string& name, std::size_t i);
-
-/// Parses a count field of untrusted input: decimal digits only (no sign,
-/// space, base prefix or suffix) and at most `cap`.  Returns nullopt on
-/// anything else, such as "", "-1", "0.5", "0x0" or "2garbage".
-std::optional<std::uint64_t> parse_decimal(std::string_view text,
-                                           std::uint64_t cap);
 
 }  // namespace psk::util

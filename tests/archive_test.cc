@@ -1,6 +1,6 @@
 // Tests for the unified versioned archive (psk::archive): wire primitives,
-// container framing, round-trips for all three payload kinds, the legacy
-// format fallback, and corruption detection.
+// container framing, round-trips for all three payload kinds, the refusal
+// of non-archive files, and corruption detection.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -11,11 +11,8 @@
 #include "archive/wire.h"
 #include "core/framework.h"
 #include "sig/compress.h"
-#include "sig/io.h"
 #include "sig/signature.h"
-#include "skeleton/io.h"
 #include "skeleton/skeleton.h"
-#include "trace/io.h"
 
 namespace psk {
 namespace {
@@ -184,22 +181,44 @@ TEST(Archive, SkeletonRoundTrip) {
   std::remove(path.c_str());
 }
 
-// ------------------------------------------------------- legacy fallback
+// ------------------------------------------------------ non-archive files
 
-TEST(Archive, LegacyTextTraceStillLoads) {
-  const trace::Trace original = sample_trace();
-  const std::string path = temp_path("psk_legacy_text.trace");
-  trace::save_trace(path, original);  // pre-archive text format
-  const auto loaded = archive::load_trace(path);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded.value().app_name, original.app_name);
-  EXPECT_EQ(loaded.value().event_count(), original.event_count());
+// PSKARCH1 is the only file format: a file in one of the retired text
+// formats is refused by every loader with kBadMagic, and the error names it.
+void expect_text_file_refused(const char* name, const char* text) {
+  const std::string path = temp_path(name);
+  spit(path, text);
+  const archive::Error errors[] = {archive::load_trace(path).error(),
+                                   archive::load_signature(path).error(),
+                                   archive::load_skeleton(path).error()};
+  for (const archive::Error& error : errors) {
+    EXPECT_EQ(error.code, archive::ErrorCode::kBadMagic) << name;
+    EXPECT_NE(error.message.find(path), std::string::npos) << error.render();
+    EXPECT_NE(error.message.find("no longer read"), std::string::npos)
+        << error.render();
+  }
   std::remove(path.c_str());
 }
 
+TEST(Archive, LegacyTextTraceIsRefused) {
+  expect_text_file_refused("psk_text.trace", "psk-trace 1\napp x\nranks 0\n");
+}
+
+TEST(Archive, LegacySignatureIsRefused) {
+  expect_text_file_refused(
+      "psk_text.sig",
+      "psk-signature 1\napp x\nthreshold 0\nratio 1\nranks 0\n");
+}
+
+TEST(Archive, LegacySkeletonIsRefused) {
+  expect_text_file_refused("psk_text.skel",
+                           "psk-skeleton 1\napp x\nk 1\nintended 1\n"
+                           "min_good 1\ngood 1\nranks 0\n");
+}
+
 TEST(Archive, LegacyBinaryTraceIsRefused) {
-  // The host-endian PSKTRB01 format is gone: such a file is neither an
-  // archive nor a text trace, and loading it is a typed error.
+  // The host-endian PSKTRB01 format is gone too: loading such a file is a
+  // typed error naming it.
   const std::string path = temp_path("psk_legacy_bin.trace");
   {
     std::ofstream out(path, std::ios::binary);
@@ -207,29 +226,9 @@ TEST(Archive, LegacyBinaryTraceIsRefused) {
   }
   const auto loaded = archive::load_trace(path);
   ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.error().code, archive::ErrorCode::kCorrupt);
-  EXPECT_NE(loaded.error().message.find("psk-trace"), std::string::npos)
+  EXPECT_EQ(loaded.error().code, archive::ErrorCode::kBadMagic);
+  EXPECT_NE(loaded.error().message.find(path), std::string::npos)
       << loaded.error().render();
-  std::remove(path.c_str());
-}
-
-TEST(Archive, LegacySignatureStillLoads) {
-  const sig::Signature original = sample_signature();
-  const std::string path = temp_path("psk_legacy.sig");
-  sig::save_signature(path, original);
-  const auto loaded = archive::load_signature(path);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded.value().app_name, original.app_name);
-  std::remove(path.c_str());
-}
-
-TEST(Archive, LegacySkeletonStillLoads) {
-  const skeleton::Skeleton original = sample_skeleton();
-  const std::string path = temp_path("psk_legacy.skel");
-  skeleton::save_skeleton(path, original);
-  const auto loaded = archive::load_skeleton(path);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded.value().scaling_factor, original.scaling_factor);
   std::remove(path.c_str());
 }
 
@@ -253,7 +252,7 @@ TEST(Archive, MissingFileIsIoError) {
 
 TEST(Archive, GarbageFileIsTypedErrorNotThrow) {
   const std::string path = temp_path("psk_garbage");
-  spit(path, "neither archive nor any legacy format\n");
+  spit(path, "not an archive\n");
   const auto loaded = archive::load_trace(path);
   EXPECT_FALSE(loaded.ok());
   std::remove(path.c_str());

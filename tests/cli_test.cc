@@ -10,10 +10,9 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 
-#include "archive/archive.h"
 #include "gtest/gtest.h"
-#include "skeleton/io.h"
 
 namespace {
 
@@ -156,13 +155,34 @@ TEST(CliHardening, PskFigureExtensionEntriesHonourTopology) {
   EXPECT_NE(result.stdout_text.find("oversubscribed"), std::string::npos);
 }
 
+TEST(CliHardening, PskRejectsNonPositiveOrNonFiniteTarget) {
+  // --target=0 used to build a K=inf skeleton and exit 0; negative, nan and
+  // inf targets clamped to K=1.  Both commands now refuse them with the
+  // configuration exit code before reading or tracing anything (the trace
+  // file below does not exist).
+  for (const char* command :
+       {"skeleton --trace=/nonexistent.trace --out=/dev/null",
+        "predict --app=MG --class=S"}) {
+    for (const char* target : {"0", "-1", "nan", "inf"}) {
+      const CommandResult result =
+          run_psk(std::string(command) + " --target=" + target);
+      ASSERT_TRUE(WIFEXITED(result.exit_code)) << command << " " << target;
+      EXPECT_EQ(WEXITSTATUS(result.exit_code), 1)
+          << command << " --target=" << target << ": " << result.stderr_text;
+      EXPECT_NE(result.stderr_text.find("--target must be a finite number"),
+                std::string::npos)
+          << command << " --target=" << target << ": " << result.stderr_text;
+    }
+  }
+}
+
 TEST(CliArchive, BinaryTraceFeedsCompress) {
-  // `psk trace --binary` writes a PSKARCH1 archive, and the commands that
-  // read traces load it through the archive loader.
+  // `psk trace` writes a PSKARCH1 archive, and the commands that read
+  // traces load it through the archive loader.
   const std::string stem = testing::TempDir() + "/cli_archive_" +
                            std::to_string(::getpid());
-  const CommandResult traced = run_psk(
-      "trace --app=MG --class=S --binary --out=" + stem + ".trace");
+  const CommandResult traced =
+      run_psk("trace --app=MG --class=S --out=" + stem + ".trace");
   ASSERT_EQ(traced.exit_code, 0) << traced.stderr_text;
   EXPECT_EQ(read_file(stem + ".trace").substr(0, 8), "PSKARCH1");
   const CommandResult compressed = run_psk(
@@ -170,14 +190,15 @@ TEST(CliArchive, BinaryTraceFeedsCompress) {
   ASSERT_EQ(compressed.exit_code, 0) << compressed.stderr_text;
   EXPECT_NE(compressed.stdout_text.find("compressed MG"), std::string::npos)
       << compressed.stdout_text;
+  EXPECT_EQ(read_file(stem + ".sig").substr(0, 8), "PSKARCH1");
   std::remove((stem + ".trace").c_str());
   std::remove((stem + ".sig").c_str());
 }
 
 TEST(CliArchive, ArchiveSkeletonRunsUnderEveryValidateMode) {
-  // A PSKARCH1 skeleton (archive::save) loads through the archive loader in
-  // every command that reads skeletons, not only under --validate=salvage,
-  // and replays exactly as its text twin does.
+  // The PSKARCH1 skeleton `psk skeleton` writes loads through the archive
+  // loader in every command that reads skeletons, and replays the same
+  // under every --validate mode.
   const std::string stem = testing::TempDir() + "/cli_archive_skel_" +
                            std::to_string(::getpid());
   const CommandResult traced =
@@ -187,24 +208,24 @@ TEST(CliArchive, ArchiveSkeletonRunsUnderEveryValidateMode) {
                                       ".trace --target=0.2 --out=" + stem +
                                       ".skel");
   ASSERT_EQ(built.exit_code, 0) << built.stderr_text;
-  ASSERT_TRUE(
-      psk::archive::save(stem + ".pskarch",
-                         psk::skeleton::load_skeleton(stem + ".skel"))
-          .ok());
-  const CommandResult text_run = run_psk("run --skeleton=" + stem + ".skel");
-  ASSERT_EQ(text_run.exit_code, 0) << text_run.stderr_text;
+  EXPECT_EQ(read_file(stem + ".skel").substr(0, 8), "PSKARCH1");
+  const CommandResult strict_run = run_psk("run --skeleton=" + stem + ".skel");
+  ASSERT_EQ(strict_run.exit_code, 0) << strict_run.stderr_text;
+  EXPECT_NE(strict_run.stdout_text.find("skeleton 'MG' under dedicated"),
+            std::string::npos)
+      << strict_run.stdout_text;
   for (const char* mode : {"strict", "salvage", "off"}) {
     const CommandResult run = run_psk("run --skeleton=" + stem +
-                                      ".pskarch --validate=" + mode);
+                                      ".skel --validate=" + mode);
     EXPECT_EQ(run.exit_code, 0) << mode << ": " << run.stderr_text;
-    EXPECT_EQ(run.stdout_text, text_run.stdout_text) << mode;
+    EXPECT_EQ(run.stdout_text, strict_run.stdout_text) << mode;
   }
-  const CommandResult info = run_psk("info --skeleton=" + stem + ".pskarch");
+  const CommandResult info = run_psk("info --skeleton=" + stem + ".skel");
   EXPECT_EQ(info.exit_code, 0) << info.stderr_text;
   EXPECT_NE(info.stdout_text.find("skeleton of 'MG'"), std::string::npos)
       << info.stdout_text;
   const CommandResult emitted = run_psk("codegen --skeleton=" + stem +
-                                        ".pskarch --out=" + stem + ".c");
+                                        ".skel --out=" + stem + ".c");
   EXPECT_EQ(emitted.exit_code, 0) << emitted.stderr_text;
   // A missing skeleton or signature is an input error (exit 2), as a
   // missing trace is.
@@ -215,8 +236,46 @@ TEST(CliArchive, ArchiveSkeletonRunsUnderEveryValidateMode) {
     EXPECT_EQ(WEXITSTATUS(missing.exit_code), 2)
         << command << ": " << missing.stderr_text;
   }
-  for (const char* suffix : {".trace", ".skel", ".pskarch", ".c"}) {
+  for (const char* suffix : {".trace", ".skel", ".c"}) {
     std::remove((stem + suffix).c_str());
+  }
+}
+
+TEST(CliArchive, TextFilesAreRefusedByName) {
+  // The text trace, signature and skeleton formats are no longer read: each
+  // command that loads one exits 2 naming the file.
+  const std::string stem = testing::TempDir() + "/cli_text_" +
+                           std::to_string(::getpid());
+  const std::string trace = stem + ".trace";
+  const std::string signature = stem + ".sig";
+  const std::string skeleton = stem + ".skel";
+  std::ofstream(trace) << "psk-trace 1\napp x\nranks 1\nrank 0 1 0 0\n";
+  std::ofstream(signature)
+      << "psk-signature 1\napp x\nthreshold 0\nratio 1\nranks 1\n"
+         "rank 0 1 0 0\n";
+  std::ofstream(skeleton)
+      << "psk-skeleton 1\napp x\nk 1\nintended 1\nmin_good 1\ngood 1\n"
+         "ranks 1\nrank 0 1 0 0\n";
+  const std::pair<std::string, std::string> commands[] = {
+      {"info --trace=" + trace, trace},
+      {"info --signature=" + signature, signature},
+      {"info --skeleton=" + skeleton, skeleton},
+      {"compress --out=/dev/null --trace=" + trace, trace},
+      {"skeleton --target=1 --out=/dev/null --trace=" + trace, trace},
+      {"run --skeleton=" + skeleton, skeleton},
+      {"run --validate=salvage --skeleton=" + skeleton, skeleton},
+      {"codegen --out=/dev/null --skeleton=" + skeleton, skeleton},
+  };
+  for (const auto& [command, path] : commands) {
+    const CommandResult result = run_psk(command);
+    ASSERT_TRUE(WIFEXITED(result.exit_code)) << command;
+    EXPECT_EQ(WEXITSTATUS(result.exit_code), 2)
+        << command << ": " << result.stderr_text;
+    EXPECT_NE(result.stderr_text.find(path), std::string::npos)
+        << command << ": " << result.stderr_text;
+  }
+  for (const std::string& path : {trace, signature, skeleton}) {
+    std::remove(path.c_str());
   }
 }
 

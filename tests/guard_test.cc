@@ -22,7 +22,6 @@
 #include "runner/journal.h"
 #include "sig/signature.h"
 #include "sim/machine.h"
-#include "skeleton/io.h"
 #include "skeleton/skeleton.h"
 #include "trace/event.h"
 #include "util/error.h"
@@ -322,9 +321,31 @@ std::string read_bytes(const std::string& path) {
                      std::istreambuf_iterator<char>());
 }
 
-/// The text header every skeleton document starts with, up to "ranks".
-const char* const kSkeletonHead =
-    "psk-skeleton 1\napp x\nk 1\nintended 1\nmin_good 1\ngood 1\n";
+/// The PSKARCH1 container bytes archive::save would write for `skeleton`.
+std::string archived(const skeleton::Skeleton& skeleton) {
+  std::string payload;
+  archive::encode(payload, skeleton);
+  std::string bytes;
+  archive::write_frame(bytes, archive::PayloadKind::kSkeleton,
+                       archive::kSkeletonVersion, payload);
+  return bytes;
+}
+
+/// Container bytes of a skeleton payload that ends right after its rank
+/// count field, which declares `ranks`.
+std::string archived_header_only(std::uint32_t ranks) {
+  std::string payload;
+  archive::put_string(payload, "k");
+  archive::put_f64(payload, 2.0);  // scaling factor
+  archive::put_f64(payload, 1.0);  // intended time
+  archive::put_f64(payload, 1.0);  // smallest good time
+  archive::put_bool(payload, true);
+  archive::put_u32(payload, ranks);
+  std::string bytes;
+  archive::write_frame(bytes, archive::PayloadKind::kSkeleton,
+                       archive::kSkeletonVersion, payload);
+  return bytes;
+}
 
 TEST(Salvage, CleanSkeletonFileIsClean) {
   ScratchDir dir("salvage_clean");
@@ -333,7 +354,7 @@ TEST(Salvage, CleanSkeletonFileIsClean) {
   skeleton.app_name = "k";
   skeleton.scaling_factor = 2.0;
   skeleton.ranks = tiny_signature().ranks;
-  skeleton::save_skeleton(path, skeleton);
+  ASSERT_TRUE(archive::save(path, skeleton).ok());
   guard::SalvageReport report;
   const auto salvaged = guard::salvage_skeleton_file(path, report);
   ASSERT_TRUE(salvaged.has_value());
@@ -359,10 +380,9 @@ TEST(Salvage, TruncatedArchiveKeepsDecodedPrefix) {
   EXPECT_EQ(report.ranks_kept, 1u);
   EXPECT_EQ(salvaged->rank_count(), 1);
   EXPECT_EQ(salvaged->app_name, "k");
-  // Binary diagnostics carry the offset where the dropped rank starts.
+  // The report carries the offset where the dropped rank starts.
   EXPECT_GT(report.byte_offset, archive::kHeaderSize);
   EXPECT_LT(report.byte_offset, torn.size());
-  EXPECT_EQ(report.line, 0u);
   // The file salvor reaches the same prefix after the strict load fails.
   write_file(path, torn);
   guard::SalvageReport file_report;
@@ -374,64 +394,95 @@ TEST(Salvage, TruncatedArchiveKeepsDecodedPrefix) {
 }
 
 TEST(Salvage, TornSkeletonDropsWholeRanks) {
-  ScratchDir dir("salvage_text");
+  // Wherever the tear falls inside the second rank, salvage keeps exactly
+  // the first: a rank's loop forest is useless half-read.  A tear in the
+  // checksum trailer alone keeps both.
+  ScratchDir dir("salvage_torn");
   const std::string path = dir.file("k.skel");
-  const std::string text = skeleton::skeleton_to_string(two_rank_skeleton());
-  write_file(path, text.substr(0, text.size() - 5));
+  const std::string bytes = archived(two_rank_skeleton());
+  const std::size_t payload_end = bytes.size() - 8;
+  guard::SalvageReport probe;
+  ASSERT_TRUE(guard::salvage_skeleton_bytes(bytes.substr(0, payload_end - 1),
+                                            probe)
+                  .has_value());
+  const std::size_t second_rank = probe.byte_offset;
+  for (std::size_t cut = second_rank + 1; cut < payload_end; ++cut) {
+    write_file(path, bytes.substr(0, cut));
+    guard::SalvageReport report;
+    const auto salvaged = guard::salvage_skeleton_file(path, report);
+    ASSERT_TRUE(salvaged.has_value()) << cut;
+    EXPECT_FALSE(report.clean) << cut;
+    EXPECT_EQ(report.ranks_expected, 2u) << cut;
+    EXPECT_EQ(report.ranks_kept, 1u) << cut;
+    EXPECT_EQ(report.byte_offset, second_rank) << cut;
+    EXPECT_EQ(salvaged->rank_count(), 1) << cut;
+  }
+  write_file(path, bytes.substr(0, payload_end + 3));
   guard::SalvageReport report;
   const auto salvaged = guard::salvage_skeleton_file(path, report);
   ASSERT_TRUE(salvaged.has_value());
   EXPECT_FALSE(report.clean);
-  EXPECT_EQ(report.ranks_expected, 2u);
-  EXPECT_EQ(report.ranks_kept, 1u);
-  EXPECT_EQ(salvaged->rank_count(), 1);
-  EXPECT_GT(report.line, 0u);  // text diagnostics carry a line number
-  EXPECT_NE(report.render().find("salvaged 1 of 2 rank(s)"), std::string::npos)
+  EXPECT_EQ(report.ranks_kept, 2u);
+  EXPECT_NE(report.render().find("salvaged 2 of 2 rank(s); damage starts at "
+                                 "byte " +
+                                 std::to_string(payload_end)),
+            std::string::npos)
       << report.render();
 }
 
 TEST(Salvage, RanksLineTornBeforeCountIsRejected) {
-  // Bytes torn exactly mid-"ranks N" leave "ranks " with no count field;
-  // salvage must diagnose it, not index past the end of the split fields.
-  guard::SalvageReport report;
-  EXPECT_FALSE(guard::salvage_skeleton_bytes(std::string(kSkeletonHead) +
-                                                 "ranks ",
-                                             report)
-                   .has_value());
-  EXPECT_FALSE(report.recovered);
-  EXPECT_EQ(report.line, 7u);
-  EXPECT_NE(report.detail.find("bad ranks count"), std::string::npos)
-      << report.render();
-}
-
-TEST(Salvage, ImplausibleRanksCountIsRejected) {
-  // The salvor parses "ranks N" with the readers' own exact decimal parser:
-  // a negative, fractional, hex, suffixed or oversized count is refused
-  // instead of reporting absurd expectations.
-  for (const char* count : {"-1", "0.5", "1e300", "0x0", "2garbage", "65537"}) {
+  // A container torn before or inside the skeleton's rank count field has
+  // no rank to keep; salvage diagnoses it instead of reading past the end.
+  const std::string bytes = archived_header_only(1);
+  const std::size_t count_at = bytes.size() - 8 - 4;
+  for (const std::size_t cut : {count_at, count_at + 2}) {
     guard::SalvageReport report;
-    EXPECT_FALSE(guard::salvage_skeleton_bytes(
-                     std::string(kSkeletonHead) + "ranks " + count + "\n",
-                     report)
-                     .has_value())
-        << count;
-    EXPECT_NE(report.detail.find("bad ranks count"), std::string::npos)
-        << count << ": " << report.render();
-    EXPECT_EQ(report.ranks_expected, 0u) << count;
+    EXPECT_FALSE(
+        guard::salvage_skeleton_bytes(bytes.substr(0, cut), report)
+            .has_value())
+        << cut;
+    EXPECT_FALSE(report.recovered) << cut;
+    EXPECT_EQ(report.ranks_expected, 0u) << cut;
+    EXPECT_NE(report.detail.find("truncated"), std::string::npos)
+        << cut << ": " << report.render();
   }
 }
 
+TEST(Salvage, ImplausibleRanksCountIsRejected) {
+  // A rank count above the codec's cap is refused instead of reported as an
+  // absurd expectation; a plausible count with no ranks behind it keeps
+  // nothing.
+  for (const std::uint32_t count : {65537u, 0xFFFFFFFFu}) {
+    guard::SalvageReport report;
+    EXPECT_FALSE(
+        guard::salvage_skeleton_bytes(archived_header_only(count), report)
+            .has_value())
+        << count;
+    EXPECT_NE(report.detail.find("implausible rank count"), std::string::npos)
+        << count << ": " << report.render();
+    EXPECT_EQ(report.ranks_expected, 0u) << count;
+  }
+  guard::SalvageReport report;
+  EXPECT_FALSE(
+      guard::salvage_skeleton_bytes(archived_header_only(60000), report)
+          .has_value());
+  EXPECT_EQ(report.ranks_expected, 60000u);
+  EXPECT_EQ(report.ranks_kept, 0u);
+}
+
 TEST(Salvage, BytesEntryPointRecoversTornSkeleton) {
-  const std::string text = skeleton::skeleton_to_string(two_rank_skeleton());
+  // The in-memory entry point has no strict path: even an intact buffer is
+  // reported recovered, never clean.
   guard::SalvageReport report;
   const auto salvaged =
-      guard::salvage_skeleton_bytes(text.substr(0, text.size() - 5), report);
+      guard::salvage_skeleton_bytes(archived(two_rank_skeleton()), report);
   ASSERT_TRUE(salvaged.has_value());
   EXPECT_TRUE(report.recovered);
-  EXPECT_FALSE(report.clean);  // the bytes entry point has no strict path
+  EXPECT_FALSE(report.clean);
   EXPECT_EQ(report.path, "<memory>");
-  EXPECT_EQ(report.ranks_kept, 1u);
-  EXPECT_EQ(salvaged->rank_count(), 1);
+  EXPECT_EQ(report.ranks_kept, 2u);
+  EXPECT_TRUE(report.detail.empty()) << report.render();
+  EXPECT_EQ(salvaged->rank_count(), 2);
 }
 
 TEST(Salvage, HopelessFileReturnsNullopt) {
@@ -442,10 +493,10 @@ TEST(Salvage, HopelessFileReturnsNullopt) {
   EXPECT_FALSE(report.detail.empty());
   // A PSKARCH1 header torn before its end, and a whole archive of another
   // kind: nothing to keep, and the report says why.
-  std::string archived;
-  archive::write_frame(archived, archive::PayloadKind::kSkeleton,
+  std::string empty_frame;
+  archive::write_frame(empty_frame, archive::PayloadKind::kSkeleton,
                        archive::kSkeletonVersion, "");
-  EXPECT_FALSE(guard::salvage_skeleton_bytes(archived.substr(0, 20), report)
+  EXPECT_FALSE(guard::salvage_skeleton_bytes(empty_frame.substr(0, 20), report)
                    .has_value());
   EXPECT_FALSE(report.recovered);
   EXPECT_NE(report.detail.find("truncated"), std::string::npos)

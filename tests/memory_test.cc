@@ -3,12 +3,12 @@
 #include <gtest/gtest.h>
 
 #include "apps/nas.h"
+#include "archive/codec.h"
 #include "codegen/emit_c.h"
 #include "core/framework.h"
 #include "mpi/world.h"
 #include "scenario/scenario.h"
 #include "sig/compress.h"
-#include "sig/io.h"
 #include "sim/cpu.h"
 #include "sim/machine.h"
 #include "skeleton/skeleton.h"
@@ -157,8 +157,10 @@ TEST(MemoryPipeline, SignatureIoRoundTripsMemory) {
   event.interior_mem_bytes = 789.0;
   rank.roots.push_back(sig::SigNode::leaf(event));
   signature.ranks.push_back(rank);
+  std::string payload;
+  archive::encode(payload, signature);
   const sig::Signature parsed =
-      sig::signature_from_string(sig::signature_to_string(signature));
+      archive::decode_signature(payload).or_throw();
   EXPECT_DOUBLE_EQ(parsed.ranks[0].roots[0].event.pre_mem_bytes, 123456.0);
   EXPECT_DOUBLE_EQ(parsed.ranks[0].roots[0].event.interior_mem_bytes, 789.0);
 }

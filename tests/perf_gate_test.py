@@ -131,6 +131,34 @@ class PerfGateTest(unittest.TestCase):
             self.assertAlmostEqual(got[1][4], -0.05)
             self.assertIn("+50.0%", perf_gate.format_layer_row(got[0]))
 
+    def test_layer_rows_from_one_traced_run_are_marked_and_listed_last(self):
+        benchmark = {"end_to_end": END_TO_END, "per_layer": [
+            {"name": "sim.host_s.fattree", "unit": "s"},
+            {"name": "sim.net_share", "unit": "ratio"},
+            {"name": "sim.events", "unit": "count"},
+            {"name": "alloc.exact_repeat", "unit": "flag"}]}
+        base = side(TIGHT, dict(COUNTERS, **{"sim.host_s.fattree": 0.18,
+                                             "sim.net_share": 0.2}))
+        # The exact rows move less than the timed ones and still come first.
+        change = side([w * 1.3 for w in TIGHT],
+                      dict(COUNTERS, **{"sim.host_s.fattree": 0.2034,
+                                        "sim.net_share": 0.286,
+                                        "sim.events": 771403,
+                                        "alloc.exact_repeat": 0}))
+        rows = perf_gate.compare(END_TO_END, base, change)
+        got = perf_gate.layer_deltas(benchmark, rows, base, change)
+        self.assertEqual([row[1] for row in got],
+                         ["alloc.exact_repeat", "sim.events",
+                          "sim.net_share", "sim.host_s.fattree"])
+        lines = [perf_gate.format_layer_row(row) for row in got]
+        for line in lines[:2]:
+            self.assertNotIn("(one traced run)", line)
+        for line in lines[2:]:
+            self.assertTrue(line.endswith(" (one traced run)"), line)
+        self.assertIn("+43.0%", lines[2])
+        # Marking changes no verdict.
+        self.assertEqual(verdicts(base, change)["wall_s"], "WORSE")
+
     def test_unmoved_end_to_end_rows_name_no_layer(self):
         base = side(TIGHT, dict(COUNTERS, **{"sim.net_share": 0.2}))
         change = side(TIGHT, dict(COUNTERS, **{"sim.net_share": 0.4}))

@@ -1,17 +1,18 @@
-// Tests for signature and skeleton text serialization.
+// Tests for the signature and skeleton codecs of the PSKARCH1 archive: every
+// field survives a round trip, and damaged payloads are typed errors.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <string>
+#include <string_view>
 
 #include "apps/nas.h"
+#include "archive/archive.h"
+#include "archive/codec.h"
 #include "core/framework.h"
 #include "sig/compress.h"
-#include "sig/io.h"
-#include "skeleton/io.h"
 #include "skeleton/validate.h"
 #include "trace/fold.h"
-#include "util/error.h"
 
 namespace psk {
 namespace {
@@ -23,6 +24,36 @@ sig::Signature sample_signature(const char* app = "MG") {
   sig::CompressOptions options;
   options.target_ratio = 10;
   return sig::compress(trace, options);
+}
+
+template <typename T>
+std::string encoded(const T& value) {
+  std::string payload;
+  archive::encode(payload, value);
+  return payload;
+}
+
+sig::Signature round_trip(const sig::Signature& signature) {
+  return archive::decode_signature(encoded(signature)).or_throw();
+}
+
+skeleton::Skeleton round_trip(const skeleton::Skeleton& skeleton) {
+  return archive::decode_skeleton(encoded(skeleton)).or_throw();
+}
+
+/// Expects `payload` to be refused by `decode` whole-cut (empty), torn
+/// (three bytes short) and under a future payload version.
+template <typename Decode>
+void expect_rejected(const std::string& payload, Decode decode,
+                     std::uint32_t version) {
+  const std::string_view bytes(payload);
+  EXPECT_EQ(decode(bytes.substr(0, 0), version).error().code,
+            archive::ErrorCode::kTruncated);
+  EXPECT_EQ(decode(bytes.substr(0, bytes.size() - 3), version).error().code,
+            archive::ErrorCode::kTruncated);
+  EXPECT_EQ(decode(bytes, version + 1).error().code,
+            archive::ErrorCode::kBadVersion);
+  EXPECT_TRUE(decode(bytes, version).ok());
 }
 
 void expect_seq_equal(const sig::SigSeq& a, const sig::SigSeq& b) {
@@ -52,8 +83,7 @@ void expect_seq_equal(const sig::SigSeq& a, const sig::SigSeq& b) {
 
 TEST(SignatureIo, RoundTripPreservesStructure) {
   const sig::Signature original = sample_signature();
-  const sig::Signature parsed =
-      sig::signature_from_string(sig::signature_to_string(original));
+  const sig::Signature parsed = round_trip(original);
   EXPECT_EQ(parsed.app_name, original.app_name);
   EXPECT_DOUBLE_EQ(parsed.threshold, original.threshold);
   EXPECT_DOUBLE_EQ(parsed.compression_ratio, original.compression_ratio);
@@ -70,8 +100,7 @@ TEST(SignatureIo, RoundTripPreservesStructure) {
 
 TEST(SignatureIo, RoundTripPreservesExpansion) {
   const sig::Signature original = sample_signature("SP");
-  const sig::Signature parsed =
-      sig::signature_from_string(sig::signature_to_string(original));
+  const sig::Signature parsed = round_trip(original);
   for (std::size_t r = 0; r < original.ranks.size(); ++r) {
     EXPECT_EQ(sig::expanded_count(parsed.ranks[r].roots),
               sig::expanded_count(original.ranks[r].roots));
@@ -83,20 +112,16 @@ TEST(SignatureIo, RoundTripPreservesExpansion) {
 TEST(SignatureIo, FileRoundTrip) {
   const sig::Signature original = sample_signature();
   const std::string path = testing::TempDir() + "/psk_sig_test.sig";
-  sig::save_signature(path, original);
-  const sig::Signature loaded = sig::load_signature(path);
+  archive::save(path, original).or_throw();
+  const sig::Signature loaded = archive::load_signature(path).or_throw();
   EXPECT_EQ(loaded.total_leaves(), original.total_leaves());
 }
 
 TEST(SignatureIo, RejectsBadInput) {
-  EXPECT_THROW(sig::signature_from_string("nope\n"), FormatError);
-  EXPECT_THROW(sig::signature_from_string("psk-signature 1\napp x\n"),
-               FormatError);
-  EXPECT_THROW(
-      sig::signature_from_string("psk-signature 1\napp x\nthreshold 0\n"
-                                 "ratio 1\nranks 1\nrank 0 1 0 1\nE bogus\n"),
-      FormatError);
-  EXPECT_THROW(sig::load_signature("/nonexistent/path.sig"), ConfigError);
+  expect_rejected(encoded(sample_signature()), archive::decode_signature,
+                  archive::kSignatureVersion);
+  EXPECT_EQ(archive::load_signature("/nonexistent/path.sig").error().code,
+            archive::ErrorCode::kIo);
 }
 
 TEST(SkeletonIo, RoundTripPreservesEverything) {
@@ -106,8 +131,7 @@ TEST(SkeletonIo, RoundTripPreservesEverything) {
   const skeleton::Skeleton original =
       framework.make_consistent_skeleton(trace, 8.0);
 
-  const skeleton::Skeleton parsed =
-      skeleton::skeleton_from_string(skeleton::skeleton_to_string(original));
+  const skeleton::Skeleton parsed = round_trip(original);
   EXPECT_EQ(parsed.app_name, original.app_name);
   EXPECT_DOUBLE_EQ(parsed.scaling_factor, original.scaling_factor);
   EXPECT_DOUBLE_EQ(parsed.intended_time, original.intended_time);
@@ -126,8 +150,8 @@ TEST(SkeletonIo, LoadedSkeletonStillReplays) {
   const skeleton::Skeleton original =
       framework.make_consistent_skeleton(trace, 5.0);
   const std::string path = testing::TempDir() + "/psk_skel_test.skel";
-  skeleton::save_skeleton(path, original);
-  const skeleton::Skeleton loaded = skeleton::load_skeleton(path);
+  archive::save(path, original).or_throw();
+  const skeleton::Skeleton loaded = archive::load_skeleton(path).or_throw();
 
   EXPECT_TRUE(skeleton::check_consistency(loaded).consistent);
   const double replayed_original =
@@ -138,38 +162,11 @@ TEST(SkeletonIo, LoadedSkeletonStillReplays) {
 }
 
 TEST(SkeletonIo, RejectsBadInput) {
-  EXPECT_THROW(skeleton::skeleton_from_string("nope\n"), FormatError);
-  EXPECT_THROW(skeleton::skeleton_from_string("psk-skeleton 1\napp x\n"),
-               FormatError);
-}
-
-TEST(SkeletonIo, RanksCountMustBeExactDecimal) {
-  // One parser serves the signature and skeleton "ranks N" lines (and the
-  // skeleton salvor): only plain decimals up to 1 << 16.  The skeleton
-  // reader used to read the count as a double and cast it to size_t, so
-  // "0.5", "1e300" and "0x0" loaded as empty skeletons ("1e300" and "-1"
-  // through an undefined cast), and the signature reader took "2garbage"
-  // as 2.
-  const std::string skeleton_head =
-      "psk-skeleton 1\napp x\nk 1\nintended 1\nmin_good 1\ngood 1\n";
-  const std::string signature_head =
-      "psk-signature 1\napp x\nthreshold 0\nratio 1\n";
-  for (const char* count : {"-1", "0.5", "1e300", "0x0", "2garbage", "65537"}) {
-    EXPECT_THROW(sig::parse_rank_count(count), FormatError) << count;
-    EXPECT_THROW(skeleton::skeleton_from_string(skeleton_head + "ranks " +
-                                                count + "\n"),
-                 FormatError)
-        << count;
-    EXPECT_THROW(sig::signature_from_string(signature_head + "ranks " +
-                                            count + "\n"),
-                 FormatError)
-        << count;
-  }
-  EXPECT_EQ(sig::parse_rank_count("0"), 0u);
-  EXPECT_EQ(sig::parse_rank_count("65536"), 65536u);
-  EXPECT_EQ(skeleton::skeleton_from_string(skeleton_head + "ranks 0\n")
-                .ranks.size(),
-            0u);
+  core::SkeletonFramework framework;
+  const trace::Trace trace = framework.record(
+      apps::find_benchmark("IS").make(apps::NasClass::kS), "IS");
+  expect_rejected(encoded(framework.make_consistent_skeleton(trace, 8.0)),
+                  archive::decode_skeleton, archive::kSkeletonVersion);
 }
 
 TEST(SignatureIo, DistributionFieldsSurviveRoundTrip) {
@@ -185,8 +182,7 @@ TEST(SignatureIo, DistributionFieldsSurviveRoundTrip) {
   rank.roots.push_back(sig::SigNode::leaf(event));
   signature.ranks.push_back(rank);
 
-  const sig::Signature parsed =
-      sig::signature_from_string(sig::signature_to_string(signature));
+  const sig::Signature parsed = round_trip(signature);
   const sig::SigEvent& out = parsed.ranks[0].roots[0].event;
   EXPECT_DOUBLE_EQ(out.pre_compute_m2, 0.0125);
   EXPECT_EQ(out.observations, 17u);

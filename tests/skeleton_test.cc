@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -216,6 +217,16 @@ TEST(Build, IntendedTimeFollowsK) {
   const Skeleton skeleton = build_skeleton(signature, 5.0);
   EXPECT_NEAR(skeleton.intended_time, signature.elapsed() / 5.0, 1e-9);
   EXPECT_EQ(skeleton.rank_count(), 4);
+}
+
+TEST(Build, RejectsNonFiniteK) {
+  // `psk skeleton --target=0` used to reach here as K = inf and write a
+  // skeleton with an intended runtime of 0 s.
+  const sig::Signature signature = signature_of("SP", apps::NasClass::kS, 10);
+  EXPECT_THROW(
+      build_skeleton(signature, std::numeric_limits<double>::infinity()),
+      psk::ConfigError);
+  EXPECT_THROW(build_skeleton(signature, std::nan("")), psk::ConfigError);
 }
 
 class EveryBenchmarkSkeleton

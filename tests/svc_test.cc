@@ -676,6 +676,23 @@ TEST(SvcService, SalvageFallbackDegradesInsteadOfRejecting) {
   EXPECT_EQ(response.values, baseline.values);
 }
 
+TEST(SvcService, TextSkeletonUploadIsBadInput) {
+  // Uploads are PSKARCH1 containers; a skeleton in the retired text format
+  // is not salvaged but refused, with the parser's own message.
+  svc::Request text;
+  text.header = predict_request(7);
+  text.header.archive_bytes =
+      "psk-skeleton 1\napp x\nk 1\nintended 1\nmin_good 1\ngood 1\n"
+      "ranks 1\nrank 0 1 0 0\n";
+  svc::Service service;
+  const svc::ResponseHeader response = roundtrip_one(service, std::move(text));
+  EXPECT_EQ(response.status, svc::StatusCode::kBadInput);
+  EXPECT_FALSE(response.degraded);
+  EXPECT_EQ(response.message,
+            "upload rejected: bad magic: not a psk archive (salvage "
+            "recovered nothing)");
+}
+
 TEST(SvcService, PublishesCountersAndLatencyPercentiles) {
   svc::ServiceOptions options;
   options.queue_capacity = 1;

@@ -1,15 +1,17 @@
-// Tests for trace recording, nonblocking folding, statistics and I/O.
+// Tests for trace recording, nonblocking folding, statistics and the trace
+// codec of the PSKARCH1 archive.
 #include <gtest/gtest.h>
 
-#include <fstream>
-#include <sstream>
+#include <string>
+#include <string_view>
 #include <vector>
 
+#include "archive/archive.h"
+#include "archive/codec.h"
 #include "mpi/world.h"
 #include "sim/machine.h"
 #include "trace/event.h"
 #include "trace/fold.h"
-#include "trace/io.h"
 #include "trace/recorder.h"
 #include "util/error.h"
 
@@ -387,10 +389,30 @@ void expect_traces_equal(const Trace& a, const Trace& b) {
   }
 }
 
+Trace round_trip(const Trace& trace) {
+  std::string payload;
+  archive::encode(payload, trace);
+  return archive::decode_trace(payload).or_throw();
+}
+
+/// A one-rank trace payload whose single event starts with call type `type`
+/// and carries zeros for every other field.
+std::string one_event_payload(std::uint8_t type) {
+  std::string payload;
+  archive::put_string(payload, "x");
+  archive::put_u32(payload, 1);    // ranks
+  archive::put_i32(payload, 0);    // rank id
+  archive::put_f64(payload, 1.0);  // total_time
+  archive::put_f64(payload, 0.0);  // final_compute
+  archive::put_u64(payload, 1);    // events
+  archive::put_u8(payload, type);
+  payload.append(76, '\0');  // the rest of the event, no parts or requests
+  return payload;
+}
+
 TEST(Io, RoundTripPreservesEverything) {
   const Trace original = sample_trace();
-  const Trace parsed = trace_from_string(trace_to_string(original));
-  expect_traces_equal(original, parsed);
+  expect_traces_equal(original, round_trip(original));
 }
 
 TEST(Io, RoundTripExactDoubles) {
@@ -400,58 +422,45 @@ TEST(Io, RoundTripExactDoubles) {
   rank.total_time = 1.0 / 3.0;
   rank.final_compute = 1e-17;
   trace.ranks.push_back(rank);
-  const Trace parsed = trace_from_string(trace_to_string(trace));
+  const Trace parsed = round_trip(trace);
   EXPECT_EQ(parsed.ranks[0].total_time, 1.0 / 3.0);
   EXPECT_EQ(parsed.ranks[0].final_compute, 1e-17);
 }
 
 TEST(Io, RejectsBadHeader) {
-  EXPECT_THROW(trace_from_string("bogus\n"), psk::FormatError);
+  // A payload version newer than this reader is refused, not guessed at.
+  std::string payload;
+  archive::encode(payload, sample_trace());
+  const auto parsed =
+      archive::decode_trace(payload, archive::kTraceVersion + 1);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.error().code, archive::ErrorCode::kBadVersion);
 }
 
 TEST(Io, RejectsTruncated) {
-  const std::string text = "psk-trace 1\napp x\nranks 1\nrank 0 1 0 2\n";
-  EXPECT_THROW(trace_from_string(text), psk::FormatError);
+  std::string payload;
+  archive::encode(payload, sample_trace());
+  const auto parsed =
+      archive::decode_trace(std::string_view(payload).substr(0, payload.size() - 3));
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.error().code, archive::ErrorCode::kTruncated);
 }
 
 TEST(Io, RejectsMalformedEvent) {
-  const std::string text =
-      "psk-trace 1\napp x\nranks 1\nrank 0 1 0 1\nE Send oops\n";
-  EXPECT_THROW(trace_from_string(text), psk::FormatError);
-}
-
-TEST(Io, RejectsInexactCounts) {
-  // The ranks count, a rank id and an event count are exact decimals: a
-  // trailing suffix, base prefix or sign is malformed, not read as far as
-  // it parses (or, for "-1", wrapped to a huge count read until the input
-  // runs out).
-  const std::string head = "psk-trace 1\napp x\n";
-  for (const char* bad :
-       {"ranks 0garbage\n", "ranks -1\n", "ranks 65537\n", "ranks 0x1\n",
-        "ranks 1\nrank 0x 1.0 0.5 0\n", "ranks 1\nrank -1 1.0 0.5 0\n",
-        "ranks 1\nrank 65536 1.0 0.5 0\n", "ranks 1\nrank 0 1.0 0.5 0z\n",
-        "ranks 1\nrank 0 1.0 0.5 -1\n"}) {
-    try {
-      trace_from_string(head + bad);
-      ADD_FAILURE() << "accepted: " << bad;
-    } catch (const psk::FormatError& e) {
-      EXPECT_NE(std::string(e.what()).find("want a decimal integer"),
-                std::string::npos)
-          << bad << ": " << e.what();
-    }
-  }
-  const Trace empty = trace_from_string(head + "ranks 0\n");
-  EXPECT_TRUE(empty.ranks.empty());
-  const Trace one = trace_from_string(head + "ranks 1\nrank 7 1.0 0.5 0\n");
-  ASSERT_EQ(one.ranks.size(), 1u);
-  EXPECT_EQ(one.ranks[0].rank, 7);
+  ASSERT_TRUE(archive::decode_trace(one_event_payload(0)).ok());
+  const auto parsed = archive::decode_trace(one_event_payload(0xEE));
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.error().code, archive::ErrorCode::kCorrupt);
+  EXPECT_NE(parsed.error().message.find("invalid call type"),
+            std::string::npos)
+      << parsed.error().render();
 }
 
 TEST(Io, FileRoundTrip) {
   const Trace original = sample_trace();
   const std::string path = testing::TempDir() + "/psk_trace_test.trace";
-  save_trace(path, original);
-  const Trace loaded = load_trace(path);
+  archive::save(path, original).or_throw();
+  const Trace loaded = archive::load_trace(path).or_throw();
   expect_traces_equal(original, loaded);
 }
 
@@ -465,8 +474,7 @@ TEST(Io, RecordedRunRoundTrips) {
         co_await comm.allreduce(64);
       },
       "roundtrip");
-  const Trace parsed = trace_from_string(trace_to_string(trace));
-  expect_traces_equal(trace, parsed);
+  expect_traces_equal(trace, round_trip(trace));
 }
 
 }  // namespace

@@ -151,20 +151,6 @@ TEST(Format, Padding) {
   EXPECT_EQ(pad_left("abcdef", 3), "abc");
 }
 
-TEST(Format, ParseDecimalIsExactAndCapped) {
-  EXPECT_EQ(parse_decimal("0", 10), 0u);
-  EXPECT_EQ(parse_decimal("007", 10), 7u);
-  EXPECT_EQ(parse_decimal("65536", 65536), 65536u);
-  EXPECT_EQ(parse_decimal("18446744073709551615", UINT64_MAX), UINT64_MAX);
-  for (const char* bad : {"", "-1", "+1", " 1", "1 ", "0.5", "1e3", "0x0",
-                          "2garbage"}) {
-    EXPECT_FALSE(parse_decimal(bad, UINT64_MAX).has_value()) << bad;
-  }
-  EXPECT_FALSE(parse_decimal("65537", 65536).has_value());
-  EXPECT_FALSE(parse_decimal("18446744073709551616", UINT64_MAX).has_value());
-  EXPECT_FALSE(parse_decimal("1", 0).has_value());
-}
-
 TEST(Table, RendersAllCells) {
   Table t({"name", "value"});
   t.add_row({"alpha", "1"});

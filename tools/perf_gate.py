@@ -16,8 +16,10 @@ output as "changed (goldens re-baselined)" instead.  A metric whose base
 spread (interquartile range over median) is wider than its bound is
 reported unresolved and does not fail.  When an end-to-end
 row is WORSE or unresolved on a workload with a traced pair, the gate also
-prints that pair's per-layer metrics, largest relative move first, so the
-row names the layer that moved.  Wall-clock numbers
+prints that pair's per-layer metrics so the row names the layer that moved:
+exact ones (unit count or flag) first, then the rest, each group largest
+relative move first.  The rest come from one traced run per side, which
+host noise alone can move, and are marked so.  Wall-clock numbers
 do not port across machines, and allocation counts depend on the standard
 library, so both are compared against the base in the same job, never
 against a checked-in number.  Exits 0 on pass, 1 on failure and 2 on a usage
@@ -44,6 +46,8 @@ FLAGS_MUST_BE_ONE = {"scale_1024": ("alloc.exact_repeat",)}
 OUTPUTS_EQUAL = {"paper_grid": ("core.mean_error_pct",)}
 TRACED = set(COUNTERS_NOT_RISING) | set(FLAGS_MUST_BE_ONE) | set(OUTPUTS_EQUAL)
 REBASELINED = "changed (goldens re-baselined)"
+# Per-layer units whose values repeat exactly from run to run.
+EXACT_UNITS = ("count", "flag")
 
 
 def parse_run(returncode, stdout):
@@ -190,13 +194,16 @@ def compare(end_to_end, base, change, rebaselined=False):
 
 
 def layer_deltas(benchmark, rows, base, change):
-    """Rows (workload, metric, base, change, delta) naming the moved layers.
+    """Rows (workload, metric, base, change, delta, exact) naming the moved
+    layers.
 
     For every workload with a WORSE or unresolved end-to-end row and a traced
     pair on both sides: each BENCHMARK.json per_layer metric that both traced
-    runs report, with its relative delta (change - base) / |base|, sorted by
-    the size of the delta, largest first.  A metric reading 0 on both sides
-    belongs to a layer the workload does not run and is left out.
+    runs report, with its relative delta (change - base) / |base|.  `exact`
+    is true for a metric whose unit is in EXACT_UNITS.  Exact rows come
+    first; within each group rows are sorted by the size of the delta,
+    largest first.  A metric reading 0 on both sides belongs to a layer the
+    workload does not run and is left out.
     """
     end_to_end = {spec["name"] for spec in benchmark["end_to_end"]}
     flagged = []
@@ -217,8 +224,9 @@ def layer_deltas(benchmark, rows, base, change):
             if b is None or c is None or b == c == 0:
                 continue
             delta = (c - b) / abs(b) if b else math.copysign(math.inf, c)
-            layer.append((workload, spec["name"], b, c, delta))
-        layer.sort(key=lambda row: -abs(row[4]))
+            exact = spec.get("unit") in EXACT_UNITS
+            layer.append((workload, spec["name"], b, c, delta, exact))
+        layer.sort(key=lambda row: (not row[5], -abs(row[4])))
         out += layer
     return out
 
@@ -243,9 +251,10 @@ def format_row(row):
 
 
 def format_layer_row(row):
-    workload, name, base, change, delta = row
-    return "%-11s %-32s base %-12.6g change %-12.6g %+.1f%%" % (
-        workload, name, base, change, 100.0 * delta)
+    workload, name, base, change, delta, exact = row
+    return "%-11s %-32s base %-12.6g change %-12.6g %+.1f%%%s" % (
+        workload, name, base, change, 100.0 * delta,
+        "" if exact else " (one traced run)")
 
 
 def run(command, side, tree, workload, seed, trace):

@@ -14,6 +14,7 @@
 //
 // Everything runs on the simulated testbed; the emitted C program is the
 // artifact for real clusters.
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <optional>
@@ -31,13 +32,10 @@
 #include "obs/recorder.h"
 #include "scenario/scenario.h"
 #include "sig/compress.h"
-#include "sig/io.h"
-#include "skeleton/io.h"
 #include "skeleton/skeleton.h"
 #include "skeleton/validate.h"
 #include "svc/frame.h"
 #include "tools/figures.h"
-#include "trace/io.h"
 #include "trace/stats.h"
 #include "util/cli.h"
 #include "util/error.h"
@@ -55,7 +53,7 @@ int usage() {
       "  apps                                   list bundled benchmarks\n"
       "  scenarios                              list sharing and fault "
       "scenarios\n"
-      "  trace    --app=A [--class=B] --out=F [--binary]\n"
+      "  trace    --app=A [--class=B] --out=F\n"
       "  compress --trace=F [--target-ratio=R] --out=F\n"
       "  skeleton --trace=F --target=SECONDS --out=F\n"
       "  codegen  --skeleton=F --out=F.c        emit the C skeleton program\n"
@@ -73,6 +71,8 @@ int usage() {
       "           and extensions in order on one shared driver; with no\n"
       "           NAME, lists them\n"
       "  info     --trace=F | --signature=F | --skeleton=F\n"
+      "trace, compress and skeleton write PSKARCH1 archives, the one file\n"
+      "format every command reads (docs/FORMATS.md).\n"
       "--jobs=N runs the measurement grid on N worker threads (default: one\n"
       "per hardware thread; 1 = serial; results are identical either way;\n"
       "negative values are rejected)\n"
@@ -111,7 +111,7 @@ ValidateMode validate_mode(const util::Cli& cli) {
   return svc::parse_validate_mode(cli.get("validate", "strict"));
 }
 
-/// Loads a skeleton (PSKARCH1 or text) honouring --validate: strict refuses
+/// Loads a PSKARCH1 skeleton honouring --validate: strict refuses
 /// both unparsable and semantically broken files; salvage recovers the
 /// intact prefix of a truncated file and downgrades validation errors to
 /// warnings; off loads with no checks beyond the parser's own.
@@ -155,6 +155,18 @@ std::string require_flag(const util::Cli& cli, const std::string& name) {
   return value;
 }
 
+/// --target, the skeleton's intended runtime: a finite number of seconds
+/// > 0.  Anything else (0 would give K = inf; a negative, nan or inf target
+/// a silent K = 1) is a ConfigError, raised before any tracing.
+double target_seconds(const util::Cli& cli, double def) {
+  const double target = cli.get_double("target", def);
+  util::require(std::isfinite(target) && target > 0, [&] {
+    return "--target must be a finite number of seconds > 0, got '" +
+           cli.get("target", "") + "'";
+  });
+  return target;
+}
+
 int cmd_apps() {
   std::printf("%-4s %s\n", "name", "description");
   for (const apps::BenchmarkDef& def : apps::suite()) {
@@ -185,11 +197,7 @@ int cmd_trace(const util::Cli& cli) {
   core::SkeletonFramework framework;
   const trace::Trace trace =
       framework.record(apps::find_benchmark(app).make(cls), app);
-  if (cli.get_bool("binary", false)) {
-    archive::save(out, trace).or_throw();
-  } else {
-    trace::save_trace(out, trace);
-  }
+  archive::save(out, trace).or_throw();
   std::printf("traced %s class %s: %.2f s, %zu events -> %s\n", app.c_str(),
               apps::class_name(cls), trace.elapsed(), trace.event_count(),
               out.c_str());
@@ -203,7 +211,7 @@ int cmd_compress(const util::Cli& cli) {
   sig::CompressOptions options;
   options.target_ratio = cli.get_double("target-ratio", 30.0);
   const sig::Signature signature = sig::compress(trace, options);
-  sig::save_signature(out, signature);
+  archive::save(out, signature).or_throw();
   std::printf("compressed %s: ratio %.1fx at threshold %.2f, %zu leaves -> "
               "%s\n",
               trace.app_name.c_str(), signature.compression_ratio,
@@ -212,16 +220,16 @@ int cmd_compress(const util::Cli& cli) {
 }
 
 int cmd_skeleton(const util::Cli& cli) {
+  const double target = target_seconds(cli, 1.0);
   const trace::Trace trace =
       archive::load_trace(require_flag(cli, "trace")).or_throw();
-  const double target = cli.get_double("target", 1.0);
   const std::string out = require_flag(cli, "out");
 
   core::SkeletonFramework framework;
   const double k = std::max(1.0, trace.elapsed() / target);
   const skeleton::Skeleton skeleton =
       framework.make_consistent_skeleton(trace, k);
-  skeleton::save_skeleton(out, skeleton);
+  archive::save(out, skeleton).or_throw();
   std::string warning;
   if (!skeleton.good) {
     warning = " [WARNING: below smallest good size " +
@@ -271,10 +279,10 @@ int cmd_run(const util::Cli& cli) {
 
 int cmd_predict(const util::Cli& cli) {
   const ValidateMode mode = validate_mode(cli);
+  const double target = target_seconds(cli, 2.0);
   core::ExperimentConfig config = core::config_from_cli(cli);
   core::ObsRequest obs = core::obs_from_cli(cli);
   config.benchmarks = {require_flag(cli, "app")};
-  const double target = cli.get_double("target", 2.0);
   config.skeleton_sizes = {target};
   core::ExperimentDriver driver(config);
 
@@ -451,7 +459,7 @@ int main(int argc, char** argv) {
       return cmd_scenarios();
     }
     if (command == "trace") {
-      cli.require_known({"app", "class", "out", "binary"});
+      cli.require_known({"app", "class", "out"});
       return cmd_trace(cli);
     }
     if (command == "compress") {
