@@ -4,11 +4,10 @@
 //     fuzz_make_seeds fuzz/corpus
 // Seeds are small, valid-by-construction archives, service frames and store
 // entries plus a few deliberately damaged variants (truncations, a flipped
-// checksum byte), so every parser branch the harnesses guard -- accept,
-// reject, and for skeletons (the one artifact that is salvaged)
-// salvage-prefix -- has at least one covering input before the fuzzer
-// mutates anything.  Output is deterministic: regenerating must not dirty
-// the checkout.
+// checksum byte), so every parser branch the harnesses guard -- accept and
+// each way of rejecting -- has at least one covering input before the
+// fuzzer mutates anything.  Output is deterministic: regenerating must not
+// dirty the checkout.
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -130,7 +129,7 @@ int main(int argc, char** argv) {
       framed(archive::PayloadKind::kSkeleton, payload);
   write_file(root + "/archive/skeleton.pskarch", skel_arch);
   write_file(root + "/archive/header_only.pskarch", skel_arch.substr(0, 24));
-  // A torn skeleton for the salvor: the first rank survives.
+  // A torn skeleton: the strict decoder must refuse it as truncated.
   write_file(root + "/archive/skeleton_truncated.pskarch",
              skel_arch.substr(0, skel_arch.size() * 3 / 4));
   write_file(root + "/archive/magic_only.pskarch", "PSKARCH1");
@@ -152,6 +151,8 @@ int main(int argc, char** argv) {
   svc::RequestHeader request;
   request.id = 1;
   request.op = svc::RequestOp::kPredict;
+  // Validate byte 1, which the service reads as off: the retired wire value
+  // must still decode and answer.
   request.validate = svc::ValidateMode::kSalvage;
   request.deadline_seconds = 2.0;
   request.seed = 7;

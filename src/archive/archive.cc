@@ -4,6 +4,8 @@ namespace psk::archive {
 
 namespace {
 
+/// Bytes before the payload: magic, both versions, kind and payload size.
+constexpr std::size_t kHeaderSize = kMagic.size() + 2 + 2 + 4 + 8;
 constexpr std::size_t kChecksumSize = 8;
 
 template <typename T>
@@ -17,17 +19,22 @@ Status save_as(const std::string& path, PayloadKind kind,
   return write_file_atomic(path, bytes);
 }
 
-/// Reads `path` and decodes the one payload of `kind` it must hold.  A
-/// file without the archive magic is refused by name: the pre-archive text
-/// formats are no longer read.
+/// Reads `path` and decodes the one payload of `kind` it must hold.  Every
+/// error names the file.  A file without the archive magic is refused by
+/// name: the pre-archive text formats are no longer read.
 template <typename T>
 Result<T> load_as(const std::string& path, PayloadKind kind,
                   Result<T> (*decode)(std::string_view, std::uint32_t)) {
+  const auto in_file = [&path](const Error& error) {
+    return Error{error.code, path + ": " + error.message};
+  };
   const Result<std::string> bytes = read_file(path);
   if (!bytes.ok()) return bytes.error();
   const Result<Frame> frame = read_frame(bytes.value());
   if (!frame.ok()) {
-    if (frame.error().code != ErrorCode::kBadMagic) return frame.error();
+    if (frame.error().code != ErrorCode::kBadMagic) {
+      return in_file(frame.error());
+    }
     return Error{ErrorCode::kBadMagic,
                  path + " is not a PSKARCH1 archive (text trace, signature "
                         "and skeleton files are no longer read)"};
@@ -38,7 +45,10 @@ Result<T> load_as(const std::string& path, PayloadKind kind,
                      payload_kind_name(frame.value().kind) + ", wanted a " +
                      payload_kind_name(kind)};
   }
-  return decode(frame.value().payload, frame.value().payload_version);
+  Result<T> decoded =
+      decode(frame.value().payload, frame.value().payload_version);
+  if (!decoded.ok()) return in_file(decoded.error());
+  return decoded;
 }
 
 }  // namespace
@@ -67,16 +77,16 @@ bool looks_like_archive(std::string_view bytes) {
   return bytes.substr(0, kMagic.size()) == kMagic;
 }
 
-Result<Header> read_header(std::string_view bytes) {
+Result<Frame> read_frame(std::string_view bytes) {
   if (!looks_like_archive(bytes)) {
     return Error{ErrorCode::kBadMagic, "not a psk archive"};
   }
   Cursor in(bytes.substr(kMagic.size()));
   const std::uint16_t container_version = in.u16();
   const std::uint16_t raw_kind = in.u16();
-  Header header;
-  header.payload_version = in.u32();
-  header.payload_size = in.u64();
+  Frame frame;
+  frame.payload_version = in.u32();
+  const std::uint64_t payload_size = in.u64();
   if (!in.ok()) return in.error();
   if (container_version != kContainerVersion) {
     return Error{ErrorCode::kBadVersion,
@@ -87,14 +97,7 @@ Result<Header> read_header(std::string_view bytes) {
     return Error{ErrorCode::kCorrupt,
                  "unknown payload kind " + std::to_string(raw_kind)};
   }
-  header.kind = static_cast<PayloadKind>(raw_kind);
-  return header;
-}
-
-Result<Frame> read_frame(std::string_view bytes) {
-  const Result<Header> header = read_header(bytes);
-  if (!header.ok()) return header.error();
-  const std::uint64_t payload_size = header.value().payload_size;
+  frame.kind = static_cast<PayloadKind>(raw_kind);
   const std::size_t remaining = bytes.size() - kHeaderSize;
   // Declared size vs bytes actually present, checked before the payload is
   // copied: a hostile size field costs nothing.  Overflow-safe comparison
@@ -111,9 +114,6 @@ Result<Frame> read_frame(std::string_view bytes) {
                      std::to_string(payload_size) + " byte(s), file has " +
                      std::to_string(remaining) + ")"};
   }
-  Frame frame;
-  frame.kind = header.value().kind;
-  frame.payload_version = header.value().payload_version;
   frame.payload =
       std::string(bytes.substr(kHeaderSize, static_cast<std::size_t>(payload_size)));
   Cursor tail(bytes.substr(kHeaderSize + static_cast<std::size_t>(payload_size)));

@@ -36,22 +36,6 @@ enum class PayloadKind : std::uint16_t {
 
 const char* payload_kind_name(PayloadKind kind);
 
-/// Bytes before the payload: magic, both versions, kind and payload size.
-inline constexpr std::size_t kHeaderSize = kMagic.size() + 2 + 2 + 4 + 8;
-
-/// A parsed container header.  `payload_size` is as declared; nothing
-/// checks yet that the payload and checksum behind it are present.
-struct Header {
-  PayloadKind kind = PayloadKind::kTrace;
-  std::uint32_t payload_version = 0;
-  std::uint64_t payload_size = 0;
-};
-
-/// Parses the header at the start of `bytes` (magic, container version and
-/// kind verified).  read_frame starts here; the salvage layer uses it alone
-/// on torn files, whose payload and checksum read_frame would refuse.
-Result<Header> read_header(std::string_view bytes);
-
 /// A parsed container frame: the payload bytes plus their framing metadata.
 struct Frame {
   PayloadKind kind = PayloadKind::kTrace;
@@ -74,7 +58,7 @@ bool looks_like_archive(std::string_view bytes);
 // save_* writes the archive container atomically (temp file + rename): a
 // crashed writer never leaves a torn file at `path`.  load_* reads the
 // container and decodes its payload strictly: any damage is a typed error
-// (the guard salvage layer recovers torn skeletons).
+// whose message names the file.
 
 Status save(const std::string& path, const trace::Trace& trace);
 Status save(const std::string& path, const sig::Signature& signature);

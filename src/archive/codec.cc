@@ -387,44 +387,6 @@ Result<sig::Signature> decode_signature(std::string_view payload,
   return signature;
 }
 
-Result<skeleton::Skeleton> decode_skeleton_prefix(std::string_view payload,
-                                                  std::uint32_t version,
-                                                  PrefixStats& stats) {
-  stats = PrefixStats{};
-  if (version != kSkeletonVersion) {
-    return Error{ErrorCode::kBadVersion,
-                 "skeleton payload version " + std::to_string(version)};
-  }
-  Cursor in(payload);
-  skeleton::Skeleton skeleton;
-  skeleton.app_name = in.string();
-  skeleton.scaling_factor = in.f64();
-  skeleton.intended_time = in.f64();
-  skeleton.min_good_time = in.f64();
-  skeleton.good = in.boolean();
-  const std::uint32_t ranks = in.u32();
-  if (!in.ok() || ranks > kMaxRanks) {
-    return Error{ErrorCode::kCorrupt, in.ok() ? "implausible rank count"
-                                              : in.error().message};
-  }
-  stats.ranks_expected = ranks;
-  stats.bytes_consumed = payload.size() - in.remaining();
-  for (std::uint32_t r = 0; r < ranks; ++r) {
-    sig::RankSignature rank = decode_rank_signature(in);
-    if (!in.ok()) {
-      stats.detail = in.error().message;
-      break;
-    }
-    skeleton.ranks.push_back(std::move(rank));
-    ++stats.ranks_kept;
-    stats.bytes_consumed = payload.size() - in.remaining();
-  }
-  if (stats.detail.empty() && !in.at_end()) {
-    stats.detail = "trailing bytes after payload";
-  }
-  return skeleton;
-}
-
 Result<skeleton::Skeleton> decode_skeleton(std::string_view payload,
                                            std::uint32_t version) {
   if (version != kSkeletonVersion) {

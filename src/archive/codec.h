@@ -11,8 +11,8 @@
 //     is never loaded back).
 //
 // Decoders return Result<T> with typed errors; they never throw and never
-// return silently defaulted values.  Only skeletons, the one artifact that
-// is shipped and can arrive torn, also have a lenient prefix decoder.
+// return silently defaulted values; a truncated or over-long payload is an
+// error like any other.
 #pragma once
 
 #include <string>
@@ -49,27 +49,5 @@ Result<sig::Signature> decode_signature(
     std::string_view payload, std::uint32_t version = kSignatureVersion);
 Result<skeleton::Skeleton> decode_skeleton(
     std::string_view payload, std::uint32_t version = kSkeletonVersion);
-
-// ------------------------------------------------------ skeleton salvage
-//
-// A lenient skeleton decoder for the guard salvage layer: instead of
-// rejecting a truncated payload outright, it keeps every *whole* rank
-// decoded before the first failure (a rank's loop forest is useless
-// half-read).  It still rejects unknown payload versions and a damaged
-// skeleton header.
-
-struct PrefixStats {
-  std::uint64_t ranks_expected = 0;
-  std::uint64_t ranks_kept = 0;
-  /// Payload bytes consumed by the kept prefix (diagnostic byte offset of
-  /// the first dropped byte, relative to the payload start).
-  std::size_t bytes_consumed = 0;
-  /// Why decoding stopped short, empty when the whole payload decoded.
-  std::string detail;
-};
-
-Result<skeleton::Skeleton> decode_skeleton_prefix(std::string_view payload,
-                                                  std::uint32_t version,
-                                                  PrefixStats& stats);
 
 }  // namespace psk::archive

@@ -1,13 +1,13 @@
 // Semantic validation of traces, signatures and skeletons.
 //
-// The format readers (trace::io, sig::io, archive::codec) only check that
-// input *parses*; a well-formed file can still describe a program that is
-// impossible or would deadlock at replay: duplicate rank ids, negative
-// computation gaps, peers outside the world, unmatched send/recv channels,
-// zero-iteration loops.  validate_* walks the parsed value and returns a
-// structured ValidationReport listing every such issue with a location
-// string, so the CLI can refuse bad input up front (--validate=strict)
-// instead of failing mid-simulation with a confusing error.
+// The archive decoders (archive::codec) only check that input *parses*; a
+// well-formed file can still describe a program that is impossible or would
+// deadlock at replay: duplicate rank ids, negative computation gaps, peers
+// outside the world, unmatched send/recv channels, zero-iteration loops.
+// validate_* walks the parsed value and returns a structured
+// ValidationReport listing every such issue with a location string, so the
+// CLI can refuse bad input up front (--validate=strict) instead of failing
+// mid-simulation with a confusing error.
 #pragma once
 
 #include <string>
@@ -21,7 +21,7 @@
 namespace psk::guard {
 
 /// One finding.  Errors make the subject unusable; warnings are suspicious
-/// but simulable (salvage mode downgrades what it can to warnings).
+/// but simulable.
 struct Issue {
   enum class Severity { kWarning, kError };
 

@@ -52,9 +52,8 @@ double RetryPolicy::backoff_seconds(int attempt) const {
 
 ValidateMode parse_validate_mode(const std::string& text) {
   if (text == "strict" || text == "true") return ValidateMode::kStrict;
-  if (text == "salvage") return ValidateMode::kSalvage;
   if (text == "off") return ValidateMode::kOff;
-  throw ConfigError("--validate must be one of strict|salvage|off (got '" +
+  throw ConfigError("--validate must be one of strict|off (got '" +
                     text + "')");
 }
 

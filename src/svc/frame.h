@@ -112,12 +112,14 @@ enum class RequestOp : std::uint8_t {
 
 enum class ValidateMode : std::uint8_t {
   kStrict = 0,
+  /// Read as off; kept for wire compatibility.
   kSalvage = 1,
   kOff = 2,
 };
 
-/// Parses a --validate flag value; throws ConfigError listing the valid
-/// modes on anything else (mirrors the unknown-scenario-name behaviour).
+/// Parses a --validate flag value (strict|off); throws ConfigError listing
+/// the valid modes on anything else (mirrors the unknown-scenario-name
+/// behaviour).
 ValidateMode parse_validate_mode(const std::string& text);
 
 /// Cap on kConstruct's scaling factor K, so a hostile request cannot ask
@@ -155,8 +157,8 @@ archive::Result<RequestHeader> decode_request(std::string_view body);
 struct ResponseHeader {
   std::uint32_t id = 0;
   StatusCode status = StatusCode::kInternal;
-  /// True when the service degraded to produce this answer (salvaged a
-  /// rejected upload, downgraded validation errors to warnings).
+  /// Always false from this service; the byte stays for wire
+  /// compatibility.
   bool degraded = false;
   /// Diagnostic, empty on success.  Deterministic for identical requests.
   std::string message;

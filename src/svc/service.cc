@@ -9,7 +9,6 @@
 
 #include "archive/archive.h"
 #include "archive/codec.h"
-#include "guard/salvage.h"
 #include "guard/validate.h"
 #include "scenario/scenario.h"
 #include "util/error.h"
@@ -366,11 +365,13 @@ ResponseHeader Service::execute(const Pending& pending) {
 std::optional<skeleton::Skeleton> Service::resolve_skeleton(
     const Pending& pending, ResponseHeader& response) {
   const RequestHeader& header = pending.request.header;
+  const bool upload = header.skeleton_hash == 0;
+  skeleton::Skeleton skeleton;
 
-  // Hot-skeleton reuse: the request names a previously retained skeleton
-  // by content hash instead of re-sending the container.  A miss is an
-  // explicit, terminal answer -- the client re-uploads, it does not retry.
-  if (header.skeleton_hash != 0) {
+  if (!upload) {
+    // Hot-skeleton reuse: the request names a previously retained skeleton
+    // by content hash instead of re-sending the container.  A miss is an
+    // explicit, terminal answer -- the client re-uploads, it does not retry.
     std::optional<std::string> canonical = store_.get(header.skeleton_hash);
     if (!canonical) {
       response.status = StatusCode::kNotFound;
@@ -383,28 +384,29 @@ std::optional<skeleton::Skeleton> Service::resolve_skeleton(
     // The store holds bytes our own encoder produced; failing to decode
     // them is a server bug, not a client one.
     archive::Result<archive::Frame> frame = archive::read_frame(*canonical);
+    std::optional<skeleton::Skeleton> retained;
     if (frame.ok() && frame.value().kind == archive::PayloadKind::kSkeleton) {
       archive::Result<skeleton::Skeleton> decoded = archive::decode_skeleton(
           frame.value().payload, frame.value().payload_version);
-      if (decoded.ok()) {
-        response.skeleton_hash = header.skeleton_hash;
-        return decoded.take();
-      }
+      if (decoded.ok()) retained = decoded.take();
     }
-    response.status = StatusCode::kInternal;
-    response.message = "retained skeleton bytes failed to decode";
-    return std::nullopt;
-  }
-
-  // Parse the uploaded container.  A strict parse failure is recoverable:
-  // in salvage mode (or strict mode with the salvage_fallback degradation
-  // enabled) the guard layer recovers the usable prefix and the response
-  // is marked degraded instead of failing the request.
-  skeleton::Skeleton skeleton;
-  archive::Result<archive::Frame> frame =
-      archive::read_frame(header.archive_bytes);
-  std::string parse_failure;
-  if (frame.ok()) {
+    if (!retained) {
+      response.status = StatusCode::kInternal;
+      response.message = "retained skeleton bytes failed to decode";
+      return std::nullopt;
+    }
+    response.skeleton_hash = header.skeleton_hash;
+    skeleton = std::move(*retained);
+  } else {
+    // Parse the uploaded container strictly.  A torn or over-long upload
+    // is refused with the decoder's own message: a skeleton missing any
+    // rank cannot replay, since every rank names its peers.
+    archive::Result<archive::Frame> frame =
+        archive::read_frame(header.archive_bytes);
+    if (!frame.ok()) {
+      response.message = "upload rejected: " + frame.error().render();
+      return std::nullopt;
+    }
     if (frame.value().kind != archive::PayloadKind::kSkeleton) {
       response.message =
           std::string("uploaded archive holds a ") +
@@ -414,42 +416,31 @@ std::optional<skeleton::Skeleton> Service::resolve_skeleton(
     }
     archive::Result<skeleton::Skeleton> decoded = archive::decode_skeleton(
         frame.value().payload, frame.value().payload_version);
-    if (decoded.ok()) {
-      skeleton = decoded.take();
-    } else {
-      parse_failure = decoded.error().render();
-    }
-  } else {
-    parse_failure = frame.error().render();
-  }
-  if (!parse_failure.empty()) {
-    const bool try_salvage =
-        header.validate == ValidateMode::kSalvage ||
-        (header.validate == ValidateMode::kStrict && options_.salvage_fallback);
-    if (!try_salvage) {
-      response.message = "upload rejected: " + parse_failure;
+    if (!decoded.ok()) {
+      response.message = "upload rejected: " + decoded.error().render();
       return std::nullopt;
     }
-    guard::SalvageReport report;
-    std::optional<skeleton::Skeleton> recovered =
-        guard::salvage_skeleton_bytes(header.archive_bytes, report);
-    if (!recovered) {
-      response.message = "upload rejected: " + parse_failure +
-                         " (salvage recovered nothing)";
-      return std::nullopt;
-    }
-    skeleton = std::move(*recovered);
-    response.degraded = true;
-    response.message = "salvaged upload: kept " +
-                       std::to_string(report.ranks_kept) + " of " +
-                       std::to_string(report.ranks_expected) + " rank(s)";
+    skeleton = decoded.take();
   }
 
-  // Retain the canonical re-encoding under its content hash so follow-up
-  // predicts can name it by hash; the response advertises the hash either
-  // way.  Content addressing makes concurrent identical uploads converge
-  // on one entry.
-  response.skeleton_hash = store_.put(canonical_skeleton_bytes(skeleton));
+  // Semantic validation.  Strict requests are refused on errors; the other
+  // modes proceed, and the replay guards (run_time_limit / DeadlockError)
+  // turn genuinely broken skeletons into kBadInput rather than a hang.
+  if (header.validate == ValidateMode::kStrict) {
+    const guard::ValidationReport report = guard::validate_skeleton(skeleton);
+    if (!report.ok()) {
+      response.message = report.render();
+      return std::nullopt;
+    }
+  }
+
+  // Retain the canonical re-encoding of an accepted upload under its
+  // content hash so follow-up predicts can name it by hash.  Only accepted
+  // uploads get here, so the store never holds a refused one.  Content
+  // addressing makes concurrent identical uploads converge on one entry.
+  if (upload) {
+    response.skeleton_hash = store_.put(canonical_skeleton_bytes(skeleton));
+  }
   return skeleton;
 }
 
@@ -464,18 +455,6 @@ ResponseHeader Service::predict(const Pending& pending) {
   if (!resolved) return response;
   skeleton::Skeleton skeleton = std::move(*resolved);
 
-  // Semantic validation.  Strict uploads are refused on errors; salvage
-  // mode (and a strict upload already degraded by the salvage fallback)
-  // proceeds anyway -- the replay guards (run_time_limit / DeadlockError)
-  // turn genuinely broken skeletons into kBadInput rather than a hang.
-  if (header.validate == ValidateMode::kStrict && !response.degraded) {
-    const guard::ValidationReport report = guard::validate_skeleton(skeleton);
-    if (!report.ok()) {
-      response.message = report.render();
-      return response;
-    }
-  }
-
   std::vector<double> values;
   values.reserve(header.repetitions);
   try {
@@ -488,8 +467,8 @@ ResponseHeader Service::predict(const Pending& pending) {
         return response;
       }
       core::FrameworkOptions options = options_.framework;
-      // Follow the upload, not the configured world size: a salvaged
-      // skeleton may have fewer ranks and must still replay.
+      // Follow the upload, not the configured world size: a skeleton fixes
+      // its own world.
       options.ranks = skeleton.rank_count();
       if (pending.budget_seconds > 0) {
         const double remaining =
@@ -544,9 +523,8 @@ ResponseHeader Service::construct(const Pending& pending) {
   response.status = StatusCode::kBadInput;
 
   // The upload is a folded execution trace (psk trace's output container),
-  // not a skeleton.  There is no salvage path for traces: a torn trace
-  // would silently construct a skeleton of a different application prefix,
-  // which is worse than an explicit rejection.
+  // not a skeleton.  A torn trace is refused: keeping its prefix would
+  // silently construct a skeleton of a different application prefix.
   archive::Result<archive::Frame> frame =
       archive::read_frame(header.archive_bytes);
   if (!frame.ok()) {
@@ -595,7 +573,6 @@ void Service::record_response(const ResponseHeader& response,
   std::lock_guard<std::mutex> lock(stats_mutex_);
   ++stats_.completed;
   ++stats_.by_status[static_cast<int>(response.status)];
-  if (response.degraded) ++stats_.degraded;
   latencies_ms_[static_cast<int>(response.status)].add(latency_ms);
 }
 
@@ -630,7 +607,6 @@ void Service::publish(obs::MetricsRegistry& metrics) const {
   metrics.counter("svc.admitted").add(static_cast<double>(stats_.admitted));
   metrics.counter("svc.shed").add(static_cast<double>(stats_.shed));
   metrics.counter("svc.completed").add(static_cast<double>(stats_.completed));
-  metrics.counter("svc.degraded").add(static_cast<double>(stats_.degraded));
   metrics.counter("svc.queue_depth.now")
       .add(static_cast<double>(stats_.queue_depth));
   metrics.counter("svc.queue_depth.high_water")

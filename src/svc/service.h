@@ -23,9 +23,9 @@
 //   - Cooperative cancellation: a request carries an optional cancel flag
 //     (set by the session layer when the client disconnects); canceled
 //     requests complete with kCanceled instead of burning simulation time.
-//   - Graceful degradation: when a strict upload fails to parse and
-//     salvage_fallback is on, the service recovers the usable prefix via
-//     psk::guard and answers with `degraded = true` instead of failing.
+//   - Nothing refused is retained: an upload that fails to decode, or that
+//     strict validation refuses, answers kBadInput and never enters the
+//     skeleton store, so its hash is never advertised.
 //   - Fault injection (ServiceOptions::chaos, null in production) drives
 //     worker stalls and store failures deterministically from a seed, so
 //     all of the above is exercised by tests and the ext_chaos soak.
@@ -77,9 +77,6 @@ struct ServiceOptions {
   /// Deadline applied when a request does not carry one; 0 disables the
   /// server-side default (requests then only time out if they ask to).
   double default_deadline_seconds = 30.0;
-  /// Recover the usable prefix of an unparseable strict upload instead of
-  /// rejecting it (the response is marked degraded).
-  bool salvage_fallback = true;
   /// Bounds on the hot-skeleton store's memory tier (svc/store.h): entry
   /// count and total retained canonical bytes.  0 entries disables the
   /// memory tier only; without `store_dir`, predict-by-hash then always
@@ -128,7 +125,6 @@ struct ServiceStats {
   std::uint64_t shed = 0;        // kOverloaded at admission
   std::uint64_t completed = 0;   // responses produced, shed included
   std::uint64_t by_status[static_cast<int>(kLastStatusCode) + 1] = {};
-  std::uint64_t degraded = 0;    // responses answered via salvage fallback
   std::size_t queue_depth = 0;   // current
   std::size_t queue_high_water = 0;
   // Supervisor self-healing (live mode).

@@ -90,17 +90,21 @@ TEST(CliHardening, PskRejectsUnknownValidateModeListingValidOnes) {
   // with the configuration exit code (1) and the list of valid modes --
   // even when the rest of the command line would fail later for other
   // reasons (missing file, expensive trace).
+  // "salvage" names a deleted mode and is refused like any typo.
   for (const char* command :
        {"run --skeleton=/nonexistent.skel", "predict --app=MG",
         "report --out=/dev/null"}) {
-    const CommandResult result =
-        run_psk(std::string(command) + " --validate=bogus");
-    ASSERT_TRUE(WIFEXITED(result.exit_code)) << command;
-    EXPECT_EQ(WEXITSTATUS(result.exit_code), 1) << command;
-    EXPECT_NE(result.stderr_text.find("strict|salvage|off"),
-              std::string::npos)
-        << command << ": " << result.stderr_text;
-    EXPECT_NE(result.stderr_text.find("bogus"), std::string::npos) << command;
+    for (const std::string mode : {"bogus", "salvage"}) {
+      const CommandResult result =
+          run_psk(std::string(command) + " --validate=" + mode);
+      ASSERT_TRUE(WIFEXITED(result.exit_code)) << command;
+      EXPECT_EQ(WEXITSTATUS(result.exit_code), 1) << command;
+      EXPECT_NE(result.stderr_text.find("--validate must be one of strict|off"),
+                std::string::npos)
+          << command << ": " << result.stderr_text;
+      EXPECT_NE(result.stderr_text.find("'" + mode + "'"), std::string::npos)
+          << command;
+    }
   }
 }
 
@@ -198,7 +202,7 @@ TEST(CliArchive, BinaryTraceFeedsCompress) {
 TEST(CliArchive, ArchiveSkeletonRunsUnderEveryValidateMode) {
   // The PSKARCH1 skeleton `psk skeleton` writes loads through the archive
   // loader in every command that reads skeletons, and replays the same
-  // under every --validate mode.
+  // under both --validate modes.
   const std::string stem = testing::TempDir() + "/cli_archive_skel_" +
                            std::to_string(::getpid());
   const CommandResult traced =
@@ -214,7 +218,7 @@ TEST(CliArchive, ArchiveSkeletonRunsUnderEveryValidateMode) {
   EXPECT_NE(strict_run.stdout_text.find("skeleton 'MG' under dedicated"),
             std::string::npos)
       << strict_run.stdout_text;
-  for (const char* mode : {"strict", "salvage", "off"}) {
+  for (const char* mode : {"strict", "off"}) {
     const CommandResult run = run_psk("run --skeleton=" + stem +
                                       ".skel --validate=" + mode);
     EXPECT_EQ(run.exit_code, 0) << mode << ": " << run.stderr_text;
@@ -241,6 +245,35 @@ TEST(CliArchive, ArchiveSkeletonRunsUnderEveryValidateMode) {
   }
 }
 
+TEST(CliArchive, TornSkeletonExitsTwoNamingTheFileUnderEveryValidateMode) {
+  // A torn skeleton cannot replay (every rank names its peers), so it is
+  // refused with the decoder's own error whatever --validate says: cut
+  // inside the checksum trailer, and cut inside the ranks.
+  const std::string corpus =
+      std::string(PSK_SOURCE_DIR) + "/fuzz/corpus/archive/";
+  const std::string trailer_cut = testing::TempDir() + "/cli_torn_" +
+                                  std::to_string(::getpid()) + ".skel";
+  const std::string whole = read_file(corpus + "skeleton.pskarch");
+  ASSERT_GT(whole.size(), 9u);
+  std::ofstream(trailer_cut, std::ios::binary)
+      << whole.substr(0, whole.size() - 9);
+  for (const std::string& path :
+       {trailer_cut, corpus + "skeleton_truncated.pskarch"}) {
+    for (const char* mode : {"strict", "off"}) {
+      const CommandResult result = run_psk(
+          "run --skeleton=" + path + " --validate=" + mode);
+      ASSERT_TRUE(WIFEXITED(result.exit_code)) << mode;
+      EXPECT_EQ(WEXITSTATUS(result.exit_code), 2)
+          << mode << ": " << result.stderr_text;
+      const std::string named = "psk run: truncated archive: " + path + ": ";
+      EXPECT_NE(result.stderr_text.find(named), std::string::npos)
+          << mode << ": " << result.stderr_text;
+      EXPECT_EQ(result.stdout_text, "") << mode;
+    }
+  }
+  std::remove(trailer_cut.c_str());
+}
+
 TEST(CliArchive, TextFilesAreRefusedByName) {
   // The text trace, signature and skeleton formats are no longer read: each
   // command that loads one exits 2 naming the file.
@@ -263,7 +296,6 @@ TEST(CliArchive, TextFilesAreRefusedByName) {
       {"compress --out=/dev/null --trace=" + trace, trace},
       {"skeleton --target=1 --out=/dev/null --trace=" + trace, trace},
       {"run --skeleton=" + skeleton, skeleton},
-      {"run --validate=salvage --skeleton=" + skeleton, skeleton},
       {"codegen --out=/dev/null --skeleton=" + skeleton, skeleton},
   };
   for (const auto& [command, path] : commands) {

@@ -1,7 +1,6 @@
-// Tests for psk::guard: deterministic deadlock detection, semantic
-// validation, salvage of damaged skeletons -- plus the robustness satellites
-// that ride with them (cache disk-failure degradation, journal replay
-// accounting).
+// Tests for psk::guard: deterministic deadlock detection and semantic
+// validation -- plus the robustness satellites that ride with them (cache
+// disk-failure degradation, journal replay accounting).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -14,7 +13,6 @@
 #include "archive/archive.h"
 #include "cache/cache.h"
 #include "guard/deadlock.h"
-#include "guard/salvage.h"
 #include "guard/validate.h"
 #include "mpi/comm.h"
 #include "mpi/world.h"
@@ -300,224 +298,6 @@ TEST(Validate, SkeletonScalingFactorBelowOneIsAnError) {
   const guard::ValidationReport report =
       guard::validate_skeleton(skeleton);
   EXPECT_FALSE(report.ok());
-}
-
-// ---------------------------------------------------------------- salvage
-
-skeleton::Skeleton two_rank_skeleton() {
-  skeleton::Skeleton skeleton;
-  skeleton.app_name = "k";
-  skeleton.scaling_factor = 2.0;
-  skeleton.ranks = tiny_signature().ranks;
-  sig::RankSignature second = skeleton.ranks[0];
-  second.rank = 1;
-  skeleton.ranks.push_back(second);
-  return skeleton;
-}
-
-std::string read_bytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return std::string((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-}
-
-/// The PSKARCH1 container bytes archive::save would write for `skeleton`.
-std::string archived(const skeleton::Skeleton& skeleton) {
-  std::string payload;
-  archive::encode(payload, skeleton);
-  std::string bytes;
-  archive::write_frame(bytes, archive::PayloadKind::kSkeleton,
-                       archive::kSkeletonVersion, payload);
-  return bytes;
-}
-
-/// Container bytes of a skeleton payload that ends right after its rank
-/// count field, which declares `ranks`.
-std::string archived_header_only(std::uint32_t ranks) {
-  std::string payload;
-  archive::put_string(payload, "k");
-  archive::put_f64(payload, 2.0);  // scaling factor
-  archive::put_f64(payload, 1.0);  // intended time
-  archive::put_f64(payload, 1.0);  // smallest good time
-  archive::put_bool(payload, true);
-  archive::put_u32(payload, ranks);
-  std::string bytes;
-  archive::write_frame(bytes, archive::PayloadKind::kSkeleton,
-                       archive::kSkeletonVersion, payload);
-  return bytes;
-}
-
-TEST(Salvage, CleanSkeletonFileIsClean) {
-  ScratchDir dir("salvage_clean");
-  const std::string path = dir.file("k.skel");
-  skeleton::Skeleton skeleton;
-  skeleton.app_name = "k";
-  skeleton.scaling_factor = 2.0;
-  skeleton.ranks = tiny_signature().ranks;
-  ASSERT_TRUE(archive::save(path, skeleton).ok());
-  guard::SalvageReport report;
-  const auto salvaged = guard::salvage_skeleton_file(path, report);
-  ASSERT_TRUE(salvaged.has_value());
-  EXPECT_TRUE(report.clean);
-  EXPECT_TRUE(report.recovered);
-  EXPECT_EQ(salvaged->rank_count(), 1);
-}
-
-TEST(Salvage, TruncatedArchiveKeepsDecodedPrefix) {
-  ScratchDir dir("salvage_arch");
-  const std::string path = dir.file("k.pskarch");
-  ASSERT_TRUE(archive::save(path, two_rank_skeleton()).ok());
-  // Drop the checksum trailer and a little payload: the strict loader
-  // refuses the file, salvage keeps the whole first rank.
-  const std::string bytes = read_bytes(path);
-  const std::string torn = bytes.substr(0, bytes.size() - 12);
-  guard::SalvageReport report;
-  const auto salvaged = guard::salvage_skeleton_bytes(torn, report);
-  ASSERT_TRUE(salvaged.has_value());
-  EXPECT_FALSE(report.clean);
-  EXPECT_TRUE(report.recovered);
-  EXPECT_EQ(report.ranks_expected, 2u);
-  EXPECT_EQ(report.ranks_kept, 1u);
-  EXPECT_EQ(salvaged->rank_count(), 1);
-  EXPECT_EQ(salvaged->app_name, "k");
-  // The report carries the offset where the dropped rank starts.
-  EXPECT_GT(report.byte_offset, archive::kHeaderSize);
-  EXPECT_LT(report.byte_offset, torn.size());
-  // The file salvor reaches the same prefix after the strict load fails.
-  write_file(path, torn);
-  guard::SalvageReport file_report;
-  const auto from_file = guard::salvage_skeleton_file(path, file_report);
-  ASSERT_TRUE(from_file.has_value());
-  EXPECT_FALSE(file_report.clean);
-  EXPECT_EQ(file_report.ranks_kept, 1u);
-  EXPECT_EQ(file_report.byte_offset, report.byte_offset);
-}
-
-TEST(Salvage, TornSkeletonDropsWholeRanks) {
-  // Wherever the tear falls inside the second rank, salvage keeps exactly
-  // the first: a rank's loop forest is useless half-read.  A tear in the
-  // checksum trailer alone keeps both.
-  ScratchDir dir("salvage_torn");
-  const std::string path = dir.file("k.skel");
-  const std::string bytes = archived(two_rank_skeleton());
-  const std::size_t payload_end = bytes.size() - 8;
-  guard::SalvageReport probe;
-  ASSERT_TRUE(guard::salvage_skeleton_bytes(bytes.substr(0, payload_end - 1),
-                                            probe)
-                  .has_value());
-  const std::size_t second_rank = probe.byte_offset;
-  for (std::size_t cut = second_rank + 1; cut < payload_end; ++cut) {
-    write_file(path, bytes.substr(0, cut));
-    guard::SalvageReport report;
-    const auto salvaged = guard::salvage_skeleton_file(path, report);
-    ASSERT_TRUE(salvaged.has_value()) << cut;
-    EXPECT_FALSE(report.clean) << cut;
-    EXPECT_EQ(report.ranks_expected, 2u) << cut;
-    EXPECT_EQ(report.ranks_kept, 1u) << cut;
-    EXPECT_EQ(report.byte_offset, second_rank) << cut;
-    EXPECT_EQ(salvaged->rank_count(), 1) << cut;
-  }
-  write_file(path, bytes.substr(0, payload_end + 3));
-  guard::SalvageReport report;
-  const auto salvaged = guard::salvage_skeleton_file(path, report);
-  ASSERT_TRUE(salvaged.has_value());
-  EXPECT_FALSE(report.clean);
-  EXPECT_EQ(report.ranks_kept, 2u);
-  EXPECT_NE(report.render().find("salvaged 2 of 2 rank(s); damage starts at "
-                                 "byte " +
-                                 std::to_string(payload_end)),
-            std::string::npos)
-      << report.render();
-}
-
-TEST(Salvage, RanksLineTornBeforeCountIsRejected) {
-  // A container torn before or inside the skeleton's rank count field has
-  // no rank to keep; salvage diagnoses it instead of reading past the end.
-  const std::string bytes = archived_header_only(1);
-  const std::size_t count_at = bytes.size() - 8 - 4;
-  for (const std::size_t cut : {count_at, count_at + 2}) {
-    guard::SalvageReport report;
-    EXPECT_FALSE(
-        guard::salvage_skeleton_bytes(bytes.substr(0, cut), report)
-            .has_value())
-        << cut;
-    EXPECT_FALSE(report.recovered) << cut;
-    EXPECT_EQ(report.ranks_expected, 0u) << cut;
-    EXPECT_NE(report.detail.find("truncated"), std::string::npos)
-        << cut << ": " << report.render();
-  }
-}
-
-TEST(Salvage, ImplausibleRanksCountIsRejected) {
-  // A rank count above the codec's cap is refused instead of reported as an
-  // absurd expectation; a plausible count with no ranks behind it keeps
-  // nothing.
-  for (const std::uint32_t count : {65537u, 0xFFFFFFFFu}) {
-    guard::SalvageReport report;
-    EXPECT_FALSE(
-        guard::salvage_skeleton_bytes(archived_header_only(count), report)
-            .has_value())
-        << count;
-    EXPECT_NE(report.detail.find("implausible rank count"), std::string::npos)
-        << count << ": " << report.render();
-    EXPECT_EQ(report.ranks_expected, 0u) << count;
-  }
-  guard::SalvageReport report;
-  EXPECT_FALSE(
-      guard::salvage_skeleton_bytes(archived_header_only(60000), report)
-          .has_value());
-  EXPECT_EQ(report.ranks_expected, 60000u);
-  EXPECT_EQ(report.ranks_kept, 0u);
-}
-
-TEST(Salvage, BytesEntryPointRecoversTornSkeleton) {
-  // The in-memory entry point has no strict path: even an intact buffer is
-  // reported recovered, never clean.
-  guard::SalvageReport report;
-  const auto salvaged =
-      guard::salvage_skeleton_bytes(archived(two_rank_skeleton()), report);
-  ASSERT_TRUE(salvaged.has_value());
-  EXPECT_TRUE(report.recovered);
-  EXPECT_FALSE(report.clean);
-  EXPECT_EQ(report.path, "<memory>");
-  EXPECT_EQ(report.ranks_kept, 2u);
-  EXPECT_TRUE(report.detail.empty()) << report.render();
-  EXPECT_EQ(salvaged->rank_count(), 2);
-}
-
-TEST(Salvage, HopelessFileReturnsNullopt) {
-  guard::SalvageReport report;
-  EXPECT_FALSE(
-      guard::salvage_skeleton_bytes("not even close\n", report).has_value());
-  EXPECT_FALSE(report.recovered);
-  EXPECT_FALSE(report.detail.empty());
-  // A PSKARCH1 header torn before its end, and a whole archive of another
-  // kind: nothing to keep, and the report says why.
-  std::string empty_frame;
-  archive::write_frame(empty_frame, archive::PayloadKind::kSkeleton,
-                       archive::kSkeletonVersion, "");
-  EXPECT_FALSE(guard::salvage_skeleton_bytes(empty_frame.substr(0, 20), report)
-                   .has_value());
-  EXPECT_FALSE(report.recovered);
-  EXPECT_NE(report.detail.find("truncated"), std::string::npos)
-      << report.render();
-  std::string trace_bytes;
-  std::string payload;
-  archive::encode(payload, matched_pair_trace());
-  archive::write_frame(trace_bytes, archive::PayloadKind::kTrace,
-                       archive::kTraceVersion, payload);
-  EXPECT_FALSE(
-      guard::salvage_skeleton_bytes(trace_bytes, report).has_value());
-  EXPECT_FALSE(report.recovered);
-  EXPECT_NE(report.detail.find("holds a trace, not a skeleton"),
-            std::string::npos)
-      << report.render();
-}
-
-TEST(Salvage, MissingFileStillThrows) {
-  guard::SalvageReport report;
-  EXPECT_THROW(guard::salvage_skeleton_file("/nonexistent/x.skel", report),
-               Error);
 }
 
 // ---------------------------------------------------- cache disk failures

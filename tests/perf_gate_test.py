@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
 """Checks tools/perf_gate.py's verdicts on canned perfbench results."""
+import contextlib
 import importlib.util
+import io
 import json
 import math
 import os
@@ -61,6 +63,24 @@ def verdicts(base, change, rebaselined=False):
 def passes(base, change):
     return perf_gate.passed(perf_gate.compare(END_TO_END, base, change))
 
+
+LATE = ("CHECK FAILED: run invalid: the open-loop generator ran 40 ms late "
+        "at p99 (bound 25 ms)")
+
+# A perfbench stand-in: its first N calls (N read from ./invalid_runs) print
+# serve_mix's lateness note and an invalid result and exit 1, later calls a
+# valid result.  It counts its calls in ./calls.
+STUB = """
+import json, sys
+calls = int(open("calls").read())
+open("calls", "w").write(str(calls + 1))
+bad = calls < int(open("invalid_runs").read())
+if bad:
+    print(%r)
+print(json.dumps({"correct": not bad, "attempted": 10, "failed": 0,
+                  "metrics": {"wall_s": {"value": 1.0, "unit": "s"}}}))
+sys.exit(1 if bad else 0)
+""" % LATE
 
 TIGHT = [2.0, 2.02, 1.98, 2.01, 1.99]
 WIDE = [2.0, 1.4, 2.6, 1.5, 2.5]  # spread 0.5, wider than the 0.25 bound
@@ -217,6 +237,54 @@ class PerfGateTest(unittest.TestCase):
         self.assertEqual(perf_gate.run_problem(run), "no result line")
         self.assertEqual(perf_gate.run_problem(result({}, failed=3)),
                          "3 failed")
+
+    def stub_run(self, invalid_runs):
+        """perf_gate.run on the stub; returns (result, calls, stderr)."""
+        with tempfile.TemporaryDirectory() as tree:
+            with open(os.path.join(tree, "stub.py"), "w") as f:
+                f.write(STUB)
+            for name, value in (("calls", 0), ("invalid_runs", invalid_runs)):
+                with open(os.path.join(tree, name), "w") as f:
+                    f.write(str(value))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                run = perf_gate.run([sys.executable, "stub.py"], "base",
+                                    tree, "serve_mix", 3, 0)
+            with open(os.path.join(tree, "calls")) as f:
+                return run, int(f.read()), err.getvalue()
+
+    def test_invalid_run_is_rerun_on_the_same_seed(self):
+        run, calls, err = self.stub_run(2)
+        self.assertEqual(calls, 3)
+        self.assertIsNone(perf_gate.run_problem(run))
+        self.assertIn("base serve_mix seed 3 trace 0: rerun 1 of 2", err)
+        self.assertIn("base serve_mix seed 3 trace 0: rerun 2 of 2", err)
+
+    def test_run_still_invalid_after_two_reruns_fails(self):
+        run, calls, err = self.stub_run(5)
+        self.assertEqual(calls, 3)
+        self.assertEqual(perf_gate.run_problem(run), "run invalid")
+        self.assertEqual(err.count(": rerun "), 2)
+        change = side(TIGHT)
+        change["scale_1024"]["runs"][0] = run
+        self.assertEqual(verdicts(side(TIGHT), change),
+                         {"change seed 1": "FAILED"})
+
+    def test_only_a_run_invalid_note_without_failures_is_rerun(self):
+        line = json.dumps({"correct": False, "attempted": 10, "failed": 0,
+                           "metrics": {}})
+        late = perf_gate.parse_run(1, LATE + "\n" + line + "\n")
+        self.assertTrue(perf_gate.invalid(late))
+        # Another failed check, a failed operation, or no note at all: the
+        # run is wrong, not unmeasured.
+        lost = "CHECK FAILED: 1 open request(s) not answered exactly once"
+        for stdout in (LATE + "\n" + lost + "\n" + line,
+                       LATE + "\n" + line.replace('"failed": 0',
+                                                   '"failed": 2'),
+                       line):
+            run = perf_gate.parse_run(1, stdout + "\n")
+            self.assertFalse(perf_gate.invalid(run), stdout)
+            self.assertNotEqual(perf_gate.run_problem(run), "run invalid")
 
 
 if __name__ == "__main__":

@@ -2,8 +2,8 @@
 // request/response codecs, deterministic admission control (identical
 // admit/shed decisions and byte-identical responses at any worker count),
 // deadline expiry without partial results, cooperative cancellation,
-// salvage-fallback degradation, live-mode concurrency, and the pskd binary
-// end to end over a pipe.
+// refused uploads that leave nothing stored, live-mode concurrency, and the
+// pskd binary end to end over a pipe.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -13,6 +13,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <map>
@@ -30,6 +31,8 @@
 #include "cache/blob_store.h"
 #include "core/framework.h"
 #include "obs/metrics.h"
+#include "sig/signature.h"
+#include "skeleton/skeleton.h"
 #include "svc/chaos.h"
 #include "svc/frame.h"
 #include "svc/reservoir.h"
@@ -253,8 +256,8 @@ TEST(SvcFrame, ResponseCodecRoundTripsAndRejectsTrailingBytes) {
   svc::ResponseHeader response;
   response.id = 7;
   response.status = svc::StatusCode::kOk;
-  response.degraded = true;
-  response.message = "salvaged";
+  response.degraded = true;  // never set by the service; the byte stays
+  response.message = "note";
   response.values = {0.25, 0.5};
   std::string body = encoded(response);
   archive::Result<svc::ResponseHeader> decoded = svc::decode_response(body);
@@ -267,15 +270,17 @@ TEST(SvcFrame, ResponseCodecRoundTripsAndRejectsTrailingBytes) {
 
 TEST(SvcFrame, ValidateModeParsesAndListsValidOnes) {
   EXPECT_EQ(svc::parse_validate_mode("strict"), svc::ValidateMode::kStrict);
-  EXPECT_EQ(svc::parse_validate_mode("salvage"), svc::ValidateMode::kSalvage);
   EXPECT_EQ(svc::parse_validate_mode("off"), svc::ValidateMode::kOff);
-  try {
-    svc::parse_validate_mode("bogus");
-    FAIL() << "expected ConfigError";
-  } catch (const ConfigError& error) {
-    EXPECT_NE(std::string(error.what()).find("strict|salvage|off"),
-              std::string::npos);
-    EXPECT_NE(std::string(error.what()).find("bogus"), std::string::npos);
+  for (const char* text : {"bogus", "salvage"}) {
+    try {
+      svc::parse_validate_mode(text);
+      FAIL() << "expected ConfigError for " << text;
+    } catch (const ConfigError& error) {
+      EXPECT_NE(std::string(error.what()).find("one of strict|off (got"),
+                std::string::npos)
+          << error.what();
+      EXPECT_NE(std::string(error.what()).find(text), std::string::npos);
+    }
   }
 }
 
@@ -640,45 +645,77 @@ TEST(SvcService, UnsalvageableUploadIsBadInput) {
   const svc::ResponseHeader response =
       roundtrip_one(service, std::move(request));
   EXPECT_EQ(response.status, svc::StatusCode::kBadInput);
+  EXPECT_EQ(response.message, "upload rejected: bad magic: not a psk archive");
+  EXPECT_EQ(response.skeleton_hash, 0u);
 }
 
-TEST(SvcService, StrictWithoutFallbackRejectsTornUpload) {
-  svc::ServiceOptions options;
-  options.salvage_fallback = false;
-  svc::Service service(options);
+TEST(SvcService, TornOrOverlongUploadIsRefusedAndNothingIsStored) {
+  // A skeleton missing any byte cannot replay (every rank names its
+  // peers), so a torn or over-long container gets the decoder's own error
+  // and never enters the store, under every validate byte.
+  const std::string& whole = skeleton_upload();
+  std::vector<std::string> damaged = {whole + std::string(1, '\0')};
+  for (const std::size_t cut : {9u, 30u, 60u}) {
+    damaged.push_back(whole.substr(0, whole.size() - cut));
+  }
+  for (const svc::ValidateMode mode :
+       {svc::ValidateMode::kStrict, svc::ValidateMode::kSalvage,
+        svc::ValidateMode::kOff}) {
+    for (const std::string& bytes : damaged) {
+      svc::Request request;
+      request.header = predict_request(6);
+      request.header.validate = mode;
+      request.header.archive_bytes = bytes;
+      svc::Service service;
+      const svc::ResponseHeader response =
+          roundtrip_one(service, std::move(request));
+      EXPECT_EQ(response.status, svc::StatusCode::kBadInput) << bytes.size();
+      EXPECT_EQ(response.message.rfind("upload rejected: ", 0), 0u)
+          << response.message;
+      EXPECT_FALSE(response.degraded);
+      EXPECT_EQ(response.skeleton_hash, 0u) << bytes.size();
+      EXPECT_EQ(service.skeleton_store().stats().inserted, 0u);
+      EXPECT_EQ(service.skeleton_store().stats().entries, 0u);
+    }
+  }
+}
+
+TEST(SvcService, StrictUploadRefusedByValidationIsNotStored) {
+  // Decodable, but its one rank sends to a peer outside its world.
+  skeleton::Skeleton skeleton;
+  skeleton.app_name = "k";
+  skeleton.scaling_factor = 2.0;
+  sig::RankSignature rank;
+  rank.rank = 0;
+  rank.total_time = 1.0;
+  sig::SigEvent send;
+  send.type = mpi::CallType::kSend;
+  send.peer = 3;
+  send.bytes = 8;
+  rank.roots.push_back(sig::SigNode::leaf(send));
+  skeleton.ranks.push_back(rank);
+  std::string payload;
+  archive::encode(payload, skeleton);
   svc::Request request;
-  request.header = predict_request(6);
-  request.header.archive_bytes.push_back('\0');  // torn/over-long container
+  request.header = predict_request(8);
+  request.header.archive_bytes.clear();
+  archive::write_frame(request.header.archive_bytes,
+                       archive::PayloadKind::kSkeleton,
+                       archive::kSkeletonVersion, payload);
+  svc::Service service;
   const svc::ResponseHeader response =
       roundtrip_one(service, std::move(request));
   EXPECT_EQ(response.status, svc::StatusCode::kBadInput);
-  EXPECT_FALSE(response.degraded);
-}
-
-TEST(SvcService, SalvageFallbackDegradesInsteadOfRejecting) {
-  svc::Service baseline_service;
-  const svc::ResponseHeader baseline =
-      roundtrip_one(baseline_service, svc::Request{predict_request(7), {}, {}});
-  ASSERT_EQ(baseline.status, svc::StatusCode::kOk);
-  ASSERT_EQ(baseline.values.size(), 1u);
-
-  // A trailing junk byte breaks the strict container parse, but the guard
-  // salvage layer recovers the full payload: same prediction, marked
-  // degraded.
-  svc::Request torn;
-  torn.header = predict_request(7);
-  torn.header.archive_bytes.push_back('\0');
-  svc::Service service;
-  const svc::ResponseHeader response = roundtrip_one(service, std::move(torn));
-  ASSERT_EQ(response.status, svc::StatusCode::kOk);
-  EXPECT_TRUE(response.degraded);
-  EXPECT_NE(response.message.find("salvaged"), std::string::npos);
-  EXPECT_EQ(response.values, baseline.values);
+  EXPECT_NE(response.message.find("outside world of 1"), std::string::npos)
+      << response.message;
+  EXPECT_EQ(response.skeleton_hash, 0u);
+  EXPECT_EQ(service.skeleton_store().stats().inserted, 0u);
+  EXPECT_EQ(service.skeleton_store().stats().entries, 0u);
 }
 
 TEST(SvcService, TextSkeletonUploadIsBadInput) {
   // Uploads are PSKARCH1 containers; a skeleton in the retired text format
-  // is not salvaged but refused, with the parser's own message.
+  // is refused with the parser's own message.
   svc::Request text;
   text.header = predict_request(7);
   text.header.archive_bytes =
@@ -687,10 +724,7 @@ TEST(SvcService, TextSkeletonUploadIsBadInput) {
   svc::Service service;
   const svc::ResponseHeader response = roundtrip_one(service, std::move(text));
   EXPECT_EQ(response.status, svc::StatusCode::kBadInput);
-  EXPECT_FALSE(response.degraded);
-  EXPECT_EQ(response.message,
-            "upload rejected: bad magic: not a psk archive (salvage "
-            "recovered nothing)");
+  EXPECT_EQ(response.message, "upload rejected: bad magic: not a psk archive");
 }
 
 TEST(SvcService, PublishesCountersAndLatencyPercentiles) {
@@ -960,10 +994,94 @@ TEST(SvcPipe, GarbageStreamExitsWithFormatCode) {
 }
 
 TEST(SvcPipe, RejectsUnknownValidateModeListingValidOnes) {
-  const PipeResult result = run_pskd("--validate=bogus", "");
-  EXPECT_EQ(result.exit_code, 1);  // usage/configuration ladder
-  EXPECT_NE(result.err.find("strict|salvage|off"), std::string::npos)
-      << result.err;
+  for (const char* mode : {"bogus", "salvage"}) {
+    const PipeResult result = run_pskd(std::string("--validate=") + mode, "");
+    EXPECT_EQ(result.exit_code, 1) << mode;  // usage/configuration ladder
+    EXPECT_NE(result.err.find("--validate must be one of strict|off"),
+              std::string::npos)
+        << result.err;
+  }
+  // The retired flag is unknown, not ignored.
+  const PipeResult retired = run_pskd("--no-salvage-fallback", "");
+  EXPECT_EQ(retired.exit_code, 1);
+  EXPECT_NE(retired.err.find("unknown flag --no-salvage-fallback"),
+            std::string::npos)
+      << retired.err;
+}
+
+/// The corpus request (validate byte 1 on the intact seed skeleton) with
+/// its id and validate byte replaced and `cut` bytes cut off its skeleton
+/// container.
+std::string corpus_request(svc::ValidateMode mode, std::size_t cut = 0,
+                           std::uint32_t id = 1) {
+  std::ifstream in(std::string(PSK_SOURCE_DIR) +
+                       "/fuzz/corpus/svc_frame/request.pskf",
+                   std::ios::binary);
+  const std::string stream((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+  svc::Frame frame;
+  std::size_t consumed = 0;
+  archive::Error error;
+  EXPECT_EQ(svc::try_parse_frame(stream, svc::kMaxFrameBytes, frame, consumed,
+                                 error),
+            svc::ParseProgress::kFrame)
+      << error.render();
+  archive::Result<svc::RequestHeader> request =
+      svc::decode_request(frame.body);
+  EXPECT_TRUE(request.ok()) << request.error().render();
+  if (!request.ok()) return "";
+  svc::RequestHeader header = request.take();
+  EXPECT_EQ(header.validate, svc::ValidateMode::kSalvage);
+  header.id = id;
+  header.validate = mode;
+  header.archive_bytes.resize(header.archive_bytes.size() - cut);
+  return request_frame(header);
+}
+
+TEST(SvcPipe, ValidateByteOneAnswersAsOff) {
+  // Byte 1 is read as off: intact or torn, the answers equal byte 2's.
+  for (const std::size_t cut : {0u, 9u}) {
+    const PipeResult one =
+        run_pskd("", corpus_request(svc::ValidateMode::kSalvage, cut));
+    const PipeResult off =
+        run_pskd("", corpus_request(svc::ValidateMode::kOff, cut));
+    ASSERT_EQ(one.exit_code, 0) << one.err;
+    ASSERT_EQ(off.exit_code, 0) << off.err;
+    EXPECT_EQ(one.out, off.out) << cut;
+    const std::vector<svc::ResponseHeader> responses =
+        parse_responses(one.out);
+    ASSERT_EQ(responses.size(), 1u);
+    EXPECT_EQ(responses[0].status, cut == 0 ? svc::StatusCode::kOk
+                                            : svc::StatusCode::kBadInput)
+        << responses[0].message;
+  }
+}
+
+TEST(SvcPipe, TornStrictUploadLeavesNoFileInTheStoreDir) {
+  // The corpus request made strict and cut short by 9, 30 and 60 bytes:
+  // each is refused with the decoder's error, and the durable store tier
+  // is left without a single entry file.
+  const std::string dir = store_dir("pipe_torn");
+  std::string stream;
+  std::uint32_t id = 1;
+  for (const std::size_t cut : {9u, 30u, 60u}) {
+    stream += corpus_request(svc::ValidateMode::kStrict, cut, id++);
+  }
+  const PipeResult result = run_pskd("--store-dir=" + dir, stream);
+  ASSERT_EQ(result.exit_code, 0) << result.err;
+  const std::vector<svc::ResponseHeader> responses =
+      parse_responses(result.out);
+  ASSERT_EQ(responses.size(), 3u);
+  for (const svc::ResponseHeader& response : responses) {
+    EXPECT_EQ(response.status, svc::StatusCode::kBadInput);
+    EXPECT_EQ(response.message.rfind("upload rejected: ", 0), 0u)
+        << response.message;
+    EXPECT_EQ(response.skeleton_hash, 0u);
+  }
+  std::error_code ec;
+  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
+    EXPECT_NE(entry.path().extension(), ".pskb") << entry.path();
+  }
 }
 
 TEST(SvcPipe, WritesMetricsFileWhenAsked) {

@@ -6,8 +6,11 @@
 Runs every BENCHMARK.json workload in both trees on one machine: five
 alternating pairs of untraced runs (seeds 1-5, the base first on odd seeds),
 then, where the workload has exact counters, one traced seed-1 run per side.
-Each tree builds into its own .bench_build.  The gate fails when a run on
-either side fails, when an end-to-end metric's median is worse than the
+Each tree builds into its own .bench_build.  A run that a perfbench check
+declares invalid (a "CHECK FAILED: run invalid:" note with no failed
+operation, such as serve_mix's late open-loop generator) measured nothing,
+so it is rerun on the same side and seed, at most twice, each retry logged
+on stderr.  The gate fails when a run on either side fails, when an end-to-end metric's median is worse than the
 base's by more than its BENCHMARK.json bound, when an exact work counter
 rises, or when an output the traced run prints exactly (the grid's mean
 error) differs from the base's -- unless tests/golden/ differs between the
@@ -48,10 +51,15 @@ TRACED = set(COUNTERS_NOT_RISING) | set(FLAGS_MUST_BE_ONE) | set(OUTPUTS_EQUAL)
 REBASELINED = "changed (goldens re-baselined)"
 # Per-layer units whose values repeat exactly from run to run.
 EXACT_UNITS = ("count", "flag")
+# How often an invalid run is rerun before it counts as failed.
+INVALID_RETRIES = 2
+CHECK_FAILED = "CHECK FAILED: "
+RUN_INVALID = CHECK_FAILED + "run invalid:"
 
 
 def parse_run(returncode, stdout):
-    """The run's result line as a dict, with its exit status under "exit"."""
+    """The run's result line as a dict, with its exit status under "exit"
+    and its CHECK FAILED notes under "checks"."""
     lines = stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1]) if lines else None
@@ -60,11 +68,23 @@ def parse_run(returncode, stdout):
     if not isinstance(result, dict) or "metrics" not in result:
         result = {}
     result["exit"] = returncode
+    result["checks"] = [line for line in lines
+                        if line.startswith(CHECK_FAILED)]
     return result
+
+
+def invalid(run):
+    """Whether the run's only fault is a check that declared it invalid: it
+    measured nothing, so it says nothing about the code and is rerun."""
+    return ("metrics" in run and run.get("correct") is False
+            and run.get("failed", 0) == 0 and bool(run["checks"])
+            and all(check.startswith(RUN_INVALID) for check in run["checks"]))
 
 
 def run_problem(run):
     """Why a run does not count, or None when it does."""
+    if invalid(run):
+        return "run invalid"
     if run["exit"] != 0:
         return "exit %d" % run["exit"]
     if "metrics" not in run:
@@ -261,18 +281,22 @@ def run(command, side, tree, workload, seed, trace):
     env = dict(os.environ, CARGO_TARGET_DIR=os.path.join(tree, ".bench_build"))
     argv = command + ["--workload", workload, "--seed", str(seed),
                       "--seconds", str(SECONDS), "--trace", str(trace)]
-    started = time.monotonic()
-    done = subprocess.run(argv, cwd=tree, env=env, stdout=subprocess.PIPE,
-                          text=True)
-    result = parse_run(done.returncode, done.stdout)
-    problem = run_problem(result)
-    print("perf_gate: %s %s seed %d trace %d: %.0f s%s" % (
-        side, workload, seed, trace,
-        time.monotonic() - started, ", " + problem if problem else ""),
-        file=sys.stderr, flush=True)
-    if problem:
-        sys.stderr.write(done.stdout)
-    return result
+    label = "%s %s seed %d trace %d" % (side, workload, seed, trace)
+    for retry in range(INVALID_RETRIES + 1):
+        started = time.monotonic()
+        done = subprocess.run(argv, cwd=tree, env=env,
+                              stdout=subprocess.PIPE, text=True)
+        result = parse_run(done.returncode, done.stdout)
+        problem = run_problem(result)
+        print("perf_gate: %s: %.0f s%s" % (
+            label, time.monotonic() - started,
+            ", " + problem if problem else ""), file=sys.stderr, flush=True)
+        if problem:
+            sys.stderr.write(done.stdout)
+        if not invalid(result) or retry == INVALID_RETRIES:
+            return result
+        print("perf_gate: %s: rerun %d of %d" % (
+            label, retry + 1, INVALID_RETRIES), file=sys.stderr, flush=True)
 
 
 def main(argv):

@@ -17,7 +17,6 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
-#include <optional>
 #include <sstream>
 #include <string>
 
@@ -27,7 +26,6 @@
 #include "core/cli_flags.h"
 #include "core/experiment.h"
 #include "core/framework.h"
-#include "guard/salvage.h"
 #include "guard/validate.h"
 #include "obs/recorder.h"
 #include "scenario/scenario.h"
@@ -93,10 +91,9 @@ int usage() {
       "dragonfly:<groups,routers> to pick the interconnect (default\n"
       "crossbar, the paper's testbed; hierarchical topologies use the\n"
       "incremental flow core that scales to thousands of ranks).\n"
-      "run/predict/report accept --validate=strict|salvage|off (default\n"
-      "strict): strict refuses semantically broken input, salvage recovers\n"
-      "what it can from truncated skeleton files and downgrades validation\n"
-      "errors to warnings, off skips the checks.\n"
+      "run/predict/report accept --validate=strict|off (default strict):\n"
+      "strict refuses semantically broken input, off skips the semantic\n"
+      "checks.  A damaged file is refused under either (exit 2).\n"
       "exit codes: 1 usage/configuration, 2 validation/format, 3 runtime\n"
       "(simulation failure, deadlock, timeout).\n");
   return 1;
@@ -105,33 +102,17 @@ int usage() {
 using svc::ValidateMode;
 
 /// Parses --validate eagerly; an unknown mode throws ConfigError listing
-/// the valid ones (strict|salvage|off).  Commands call this before any
+/// the valid ones (strict|off).  Commands call this before any
 /// expensive work so a typo fails fast, not after minutes of tracing.
 ValidateMode validate_mode(const util::Cli& cli) {
   return svc::parse_validate_mode(cli.get("validate", "strict"));
 }
 
-/// Loads a PSKARCH1 skeleton honouring --validate: strict refuses
-/// both unparsable and semantically broken files; salvage recovers the
-/// intact prefix of a truncated file and downgrades validation errors to
-/// warnings; off loads with no checks beyond the parser's own.
+/// Loads a PSKARCH1 skeleton honouring --validate: a damaged file is a
+/// FormatError naming it under either mode; strict also refuses a
+/// semantically broken skeleton.
 skeleton::Skeleton load_skeleton_checked(const std::string& path,
                                          ValidateMode mode) {
-  if (mode == ValidateMode::kSalvage) {
-    guard::SalvageReport report;
-    std::optional<skeleton::Skeleton> value =
-        guard::salvage_skeleton_file(path, report);
-    if (!value.has_value()) throw FormatError(report.render());
-    if (!report.clean) {
-      std::fprintf(stderr, "psk: %s\n", report.render().c_str());
-    }
-    const guard::ValidationReport validation =
-        guard::validate_skeleton(*value);
-    if (!validation.ok() || validation.warning_count() > 0) {
-      std::fprintf(stderr, "psk: %s\n", validation.render().c_str());
-    }
-    return *std::move(value);
-  }
   skeleton::Skeleton skeleton = archive::load_skeleton(path).or_throw();
   if (mode == ValidateMode::kStrict) {
     guard::require_valid(guard::validate_skeleton(skeleton));
@@ -142,11 +123,9 @@ skeleton::Skeleton load_skeleton_checked(const std::string& path,
 /// predict/report construct their artifacts in-process; validation there
 /// checks the recorded trace (the root input of the whole pipeline).
 void check_app_trace(const trace::Trace& trace, ValidateMode mode) {
-  if (mode == ValidateMode::kOff) return;
-  const guard::ValidationReport report = guard::validate_trace(trace);
-  if (report.ok()) return;
-  if (mode == ValidateMode::kStrict) guard::require_valid(report);
-  std::fprintf(stderr, "psk: %s\n", report.render().c_str());
+  if (mode == ValidateMode::kStrict) {
+    guard::require_valid(guard::validate_trace(trace));
+  }
 }
 
 std::string require_flag(const util::Cli& cli, const std::string& name) {
@@ -263,8 +242,8 @@ int cmd_run(const util::Cli& cli) {
 
   core::FrameworkOptions framework_options =
       core::config_from_cli(cli).framework;
-  // Follow the file, not the default world size: a salvaged skeleton may
-  // have fewer ranks than it was built with and must still replay.
+  // Follow the file, not the default world size: a skeleton fixes its own
+  // world.
   framework_options.ranks = skeleton.rank_count();
   core::SkeletonFramework framework(framework_options);
   obs::Recorder recorder;

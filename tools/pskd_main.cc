@@ -65,9 +65,7 @@ int usage() {
       "  --deadline=S       default per-request deadline in seconds when the\n"
       "                     request carries none (default 30; 0 = none)\n"
       "  --validate=MODE    override the per-request validate mode with\n"
-      "                     strict|salvage|off (default: honour the request)\n"
-      "  --no-salvage-fallback  reject unparsable strict uploads instead of\n"
-      "                     salvaging them into a degraded response\n"
+      "                     strict|off (default: honour the request)\n"
       "  --max-frame-mb=N   frame body cap in MiB (default 64); larger\n"
       "                     declared sizes are rejected before allocation\n"
       "  --store-dir=D      durable skeleton-store tier: retained skeletons\n"
@@ -162,7 +160,6 @@ svc::ServiceOptions make_service_options(const util::Cli& cli) {
   options.default_deadline_seconds = cli.get_double("deadline", 30.0);
   util::require(options.default_deadline_seconds >= 0,
                 "--deadline must be >= 0");
-  options.salvage_fallback = !cli.get_bool("no-salvage-fallback", false);
   options.store_dir = cli.get("store-dir", "");
   const std::int64_t store_disk_mb = cli.get_int("store-disk-mb", 1024);
   util::require(store_disk_mb >= 1 && store_disk_mb <= (1 << 20),
@@ -394,11 +391,10 @@ int main(int argc, char** argv) {
   try {
     if (cli.get_bool("help", false)) return usage();
     cli.require_known({"listen", "max-conns", "max-inflight", "queue",
-                       "workers", "deadline", "validate",
-                       "no-salvage-fallback", "max-frame-mb", "store-dir",
-                       "store-disk-mb", "chaos-seed", "chaos-profile",
-                       "metrics-out", "cache-dir", "cache-mem", "no-cache",
-                       "help"});
+                       "workers", "deadline", "validate", "max-frame-mb",
+                       "store-dir", "store-disk-mb", "chaos-seed",
+                       "chaos-profile", "metrics-out", "cache-dir",
+                       "cache-mem", "no-cache", "help"});
     const std::string listen = cli.get("listen", "");
     if (!listen.empty()) return serve_socket(cli, listen);
     return serve(cli);
